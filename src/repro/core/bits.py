@@ -19,7 +19,7 @@ Terminology (following the paper, section 4 and 5.2.1):
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
@@ -146,6 +146,13 @@ def rotation_order(path_length: int, scheme: str) -> List[int]:
     )
 
 
+#: Per-element lookup tables of every :class:`InterleavePermutation` built
+#: so far, keyed by ``(path_length, width, scheme)``.  The tables are a pure
+#: function of that key, so permutations of the same shape share one copy
+#: and the cache holds one entry per distinct triple in use.
+_TABLE_CACHE: Dict[Tuple[int, int, str], Tuple[Tuple[int, ...], ...]] = {}
+
+
 class InterleavePermutation:
     """A fixed bit permutation turning a packed pattern into an interleaved key.
 
@@ -156,9 +163,11 @@ class InterleavePermutation:
     interleaved indices spread alternating paths over different table sets
     (section 5.2.1).
 
-    Instances precompute per-element contribution tables when the element
-    width is small enough, so that applying the permutation costs ``p`` table
-    lookups instead of one loop iteration per bit.
+    When the element width is small enough, applying the permutation costs
+    ``p`` lookups in per-element contribution tables instead of one loop
+    iteration per bit.  The tables are built once per ``(p, width, scheme)``
+    and shared (``_TABLE_CACHE``), so constructing a permutation costs the
+    same whatever its width; pickles carry only the three parameters.
     """
 
     #: Largest element width for which a 2**width lookup table is built.
@@ -175,12 +184,29 @@ class InterleavePermutation:
         self.path_length = path_length
         self.width = width
         self.scheme = scheme
+        self._element_mask = mask(width)
         order = rotation_order(path_length, scheme)
         # rank[element] = position of that element within each round.
-        self._rank = [0] * path_length
+        rank = [0] * path_length
         for position, element in enumerate(order):
-            self._rank[element] = position
-        self._tables = self._build_tables() if width <= self._TABLE_WIDTH_LIMIT else None
+            rank[element] = position
+        self._rank = tuple(rank)
+        self._tables: Optional[Tuple[Tuple[int, ...], ...]] = None
+        if width <= self._TABLE_WIDTH_LIMIT:
+            key = (path_length, width, scheme)
+            tables = _TABLE_CACHE.get(key)
+            if tables is None:
+                tables = _TABLE_CACHE[key] = self._build_tables()
+            self._tables = tables
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, int, str]]:
+        return (type(self), (self.path_length, self.width, self.scheme))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Only pickles made before ``__reduce__`` existed carry a state
+        # dict (with their own copy of the tables); rebuild from the
+        # parameters so they share the cached tables too.
+        self.__init__(state["path_length"], state["width"], state["scheme"])  # type: ignore[misc]
 
     def _element_contribution(self, element_index: int, value: int) -> int:
         """Spread one element's bits to their interleaved positions."""
@@ -192,20 +218,23 @@ class InterleavePermutation:
                 contribution |= 1 << (bit * stride + rank)
         return contribution
 
-    def _build_tables(self) -> List[List[int]]:
-        tables: List[List[int]] = []
-        for element_index in range(self.path_length):
-            table = [
-                self._element_contribution(element_index, value)
-                for value in range(1 << self.width)
-            ]
-            tables.append(table)
-        return tables
+    def _build_tables(self) -> Tuple[Tuple[int, ...], ...]:
+        stride = self.path_length
+        tables = []
+        for rank in self._rank:
+            # Bit k of a value lands at k * stride + rank, so a value's
+            # contribution is its upper bits' contribution moved up one
+            # round, plus its bit 0 at ``rank``.
+            table = [0] * (1 << self.width)
+            for value in range(1, 1 << self.width):
+                table[value] = (table[value >> 1] << stride) | ((value & 1) << rank)
+            tables.append(tuple(table))
+        return tuple(tables)
 
     def apply(self, packed_pattern: int) -> int:
         """Permute a packed (concatenated) pattern into interleaved bit order."""
         width = self.width
-        element_mask = mask(width)
+        element_mask = self._element_mask
         interleaved = 0
         if self._tables is not None:
             for element_index, table in enumerate(self._tables):

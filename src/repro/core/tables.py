@@ -238,20 +238,26 @@ class SetAssociativeTable(BasePredictionTable):
         self.index_bits = self.num_sets.bit_length() - 1
         self._index_mask = self.num_sets - 1
         # Each set is an insertion-ordered dict tag -> Entry; the first key
-        # is the least recently used way.
-        self._sets: List[Dict[int, Entry]] = [dict() for _ in range(self.num_sets)]
+        # is the least recently used way.  A set's dict is created by its
+        # first commit (``None`` until then), so building a table costs the
+        # same whatever its size.
+        self._sets: List[Optional[Dict[int, Entry]]] = [None] * self.num_sets
 
     @property
     def capacity(self) -> int:
         return self.num_entries
 
     def probe(self, key: int) -> Optional[Entry]:
-        tag = key >> self.index_bits
-        return self._sets[key & self._index_mask].get(tag)
+        ways = self._sets[key & self._index_mask]
+        return None if ways is None else ways.get(key >> self.index_bits)
 
     def commit(self, key: int, actual_target: int) -> None:
         tag = key >> self.index_bits
-        ways = self._sets[key & self._index_mask]
+        index = key & self._index_mask
+        ways = self._sets[index]
+        if ways is None:
+            self._sets[index] = {tag: Entry(actual_target)}
+            return
         entry = ways.get(tag)
         if entry is not None:
             # Refresh recency by reinserting at the back of the dict.
@@ -270,7 +276,7 @@ class SetAssociativeTable(BasePredictionTable):
         ways[tag] = Entry(actual_target)
 
     def __len__(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets if ways is not None)
 
     def utilization(self) -> float:
         """Fraction of entry slots in use (paper quotes this for §5.2.1)."""
