@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import IngestError
+from ..runtime.records import atomic_file
 
 #: Schema identifier carried in the header record (and manifests).
 EXT_TRACE_SCHEMA = "repro-ext-trace/1"
@@ -230,26 +229,13 @@ def write_ext_trace(
         "sites": sites,
         "targets": targets,
     }
-    descriptor, temp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent) or "."
-    )
     count = 0
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps(header, sort_keys=True) + "\n")
-            for site_id, target_id in events:
-                stream.write(json.dumps({"s": site_id, "t": target_id}) + "\n")
-                count += 1
-            stream.write(json.dumps({"end": True, "events": count}) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_file(path, "w") as stream:
+        stream.write(json.dumps(header, sort_keys=True) + "\n")
+        for site_id, target_id in events:
+            stream.write(json.dumps({"s": site_id, "t": target_id}) + "\n")
+            count += 1
+        stream.write(json.dumps({"end": True, "events": count}) + "\n")
     return path
 
 

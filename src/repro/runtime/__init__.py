@@ -6,6 +6,9 @@ sweeps survivable:
 
 * :mod:`repro.runtime.cache` — a validated on-disk trace cache (checksummed
   v2 binary format, atomic writes, corruption quarantined and regenerated);
+* :mod:`repro.runtime.records` — the durable record log (header line +
+  one fsync'd JSON object per line, torn-tail tolerant) every JSONL log
+  shares, plus the fsync'd and atomic whole-file writers;
 * :mod:`repro.runtime.checkpoint` — an append-only JSONL journal of
   completed ``(config, benchmark) -> SimulationResult`` records so a killed
   run resumes where it stopped;
@@ -54,7 +57,8 @@ from .faults import corrupt_file, truncate_file
 from .parallel import ParallelExecutor
 from .policies import ExecutionPolicy, run_with_policy
 from .scheduler import RunMetrics, Scheduler, WorkUnit
-from .telemetry import PhaseStats, TraceLogWriter, Tracer, read_trace_log
+from .records import RecordLog
+from .telemetry import PhaseStats, Tracer, read_trace_log
 
 __all__ = [
     "CORE_POINTS",
@@ -72,7 +76,7 @@ __all__ = [
     "SERVICE_POINTS",
     "Scheduler",
     "TraceCache",
-    "TraceLogWriter",
+    "RecordLog",
     "Tracer",
     "WorkUnit",
     "active",

@@ -11,8 +11,9 @@ of the frozen config dataclass (class name + sorted fields), which is
 stable across processes — unlike ``hash()`` — and survives config-class
 field additions as long as defaults are preserved.
 
-A partial final line (the signature of a crash mid-append) is tolerated
-and dropped; corruption anywhere earlier in the journal raises
+The journal is a :mod:`~repro.runtime.records` log: a partial final
+line (the signature of a crash mid-append) is tolerated, dropped, and
+truncated away before the next append; corruption anywhere earlier raises
 :class:`~repro.errors.CheckpointError`, since silently dropping completed
 work would make a resumed sweep quietly re-run or — worse — skip pairs.
 
@@ -28,19 +29,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..errors import CheckpointError
 from ..sim.engine import SimulationResult
 from .chaos import active as active_chaos
+from .records import RecordError, RecordLog, read_records
 from .telemetry import NULL_TRACER
 
 PathLike = Union[str, Path]
 
 _FORMAT = "repro-checkpoint"
 _VERSION = 1
+
+
+def _entry(record: dict) -> Tuple[Tuple[str, str], SimulationResult]:
+    """One journalled result line -> ``((config, benchmark), result)``."""
+    return ((record["config"], record["benchmark"]),
+            SimulationResult.from_dict(record["result"]))
 
 
 def config_key(config: object) -> str:
@@ -69,82 +76,46 @@ class CheckpointJournal:
 
     def __init__(self, path: PathLike, resume: bool = True) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._entries: Dict[Tuple[str, str], SimulationResult] = {}
         self.tracer = NULL_TRACER
         #: ``True`` once an append failed: checkpointing is off for the
         #: rest of the run (results stay memoised in memory only).
         self.disabled = False
         self.dropped_partial = False
-        self._keep_bytes: Optional[int] = None
+        committed = 0
         if resume and self.path.exists():
-            usable = self._load()
-            if usable and self._keep_bytes is not None:
-                # Cut the torn tail off *before* appending, otherwise the
-                # next record would be concatenated onto the partial line
-                # and corrupt the journal for every later resume.
-                with open(self.path, "rb+") as stream:
-                    stream.truncate(self._keep_bytes)
-            mode = "a" if usable else "w"
-        else:
-            mode = "w"
-        self._stream = open(self.path, mode, encoding="utf-8")
-        if self._stream.tell() == 0:
+            committed = self._load()
+        self._log = RecordLog(self.path, committed=committed)
+        if not committed:  # through _append: a header fault degrades too
             self._append({"format": _FORMAT, "version": _VERSION})
 
     # -- reading ------------------------------------------------------------
 
-    def _load(self) -> bool:
-        """Replay an existing journal; ``False`` means start fresh."""
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        if not lines:
-            return False
+    def _load(self) -> int:
+        """Replay an existing journal; returns its committed byte count.
 
-        def tail_start(line: bytes) -> int:
-            return len(raw) - len(line) - (1 if raw.endswith(b"\n") else 0)
-
-        for index, line in enumerate(lines):
-            last = index == len(lines) - 1
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError:
-                if last:
-                    # A torn final append from a crashed writer: drop it.
-                    # (If that was the header, the file holds nothing yet.)
-                    self.dropped_partial = True
-                    self._keep_bytes = tail_start(line)
-                    return index > 0
-                raise CheckpointError(
-                    f"{self.path}:{index + 1}: corrupt journal line"
-                ) from None
-            if index == 0:
-                if record.get("format") != _FORMAT:
-                    raise CheckpointError(
-                        f"{self.path}: not a checkpoint journal "
-                        f"(header {record!r})"
-                    )
-                if record.get("version") != _VERSION:
-                    raise CheckpointError(
-                        f"{self.path}: unsupported journal version "
-                        f"{record.get('version')!r}"
-                    )
-                continue
-            try:
-                key = (record["config"], record["benchmark"])
-                result = SimulationResult.from_dict(record["result"])
-            except Exception as exc:
-                if last:
-                    self.dropped_partial = True
-                    self._keep_bytes = tail_start(line)
-                    continue
-                raise CheckpointError(
-                    f"{self.path}:{index + 1}: malformed record: {exc}"
-                ) from exc
-            self._entries[key] = result
-        return True
+        ``0`` (no committed header: empty, or killed mid-header) means
+        start fresh.
+        """
+        try:
+            journal = read_records(self.path, parse=_entry)
+        except RecordError as exc:
+            raise CheckpointError(str(exc)) from None
+        self.dropped_partial = journal.dropped_tail
+        header = journal.header
+        if header is None:
+            return 0
+        if header.get("format") != _FORMAT:
+            raise CheckpointError(
+                f"{self.path}: not a checkpoint journal (header {header!r})"
+            )
+        if header.get("version") != _VERSION:
+            raise CheckpointError(
+                f"{self.path}: unsupported journal version "
+                f"{header.get('version')!r}"
+            )
+        self._entries.update(journal.records)
+        return journal.committed
 
     def attach_tracer(self, tracer: object) -> None:
         """Adopt the run's tracer; announces the replayed journal state."""
@@ -191,13 +162,11 @@ class CheckpointJournal:
         try:
             active_chaos().inject("journal.append",
                                   label=str(record.get("benchmark", "")))
-            self._stream.write(json.dumps(record, sort_keys=True) + "\n")
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
+            self._log.write(record)
         except OSError as exc:
             self.disabled = True
             try:
-                self._stream.close()
+                self._log.close()
             except OSError:  # pragma: no cover - double-fault close
                 pass
             self.tracer.event("checkpoint_off", path=str(self.path),
@@ -219,8 +188,7 @@ class CheckpointJournal:
             })
 
     def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
+        self._log.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self

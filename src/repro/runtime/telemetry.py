@@ -11,8 +11,8 @@ one coherent accounting of where the wall clock went.
 
 When a sink is attached (``--trace-log FILE``) every finished span and
 every event additionally becomes one fsync'd JSON line in a structured
-trace log (schema ``repro-trace-log/1``), durable across a SIGKILL like
-the checkpoint journal.  With no sink attached the tracer only keeps
+trace log (schema ``repro-trace-log/1``, a :mod:`~repro.runtime.records`
+log), durable across a SIGKILL.  With no sink attached the tracer only keeps
 in-memory aggregates — a span is two clock reads and two dict updates —
 so instrumentation stays cheap enough to leave on permanently.
 
@@ -21,14 +21,12 @@ The clock is injectable so tests can drive span timing deterministically.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-PathLike = Union[str, Path]
+from .records import PathLike, RecordLog, read_records
 
 #: JSON schema identifier of the structured trace log (header line).
 TRACE_LOG_SCHEMA = "repro-trace-log/1"
@@ -49,47 +47,9 @@ class PhaseStats:
         return {"seconds": round(self.seconds, 6), "count": self.count}
 
 
-class TraceLogWriter:
-    """Append-only JSONL sink for spans and events.
-
-    Line 1 is a header (``{"schema": "repro-trace-log/1"}``); each
-    subsequent line is one record from :meth:`write`.  Every line is
-    flushed and fsync'd, mirroring the checkpoint journal's durability:
-    a SIGKILLed run loses at most the record in flight.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        schema: str = TRACE_LOG_SCHEMA,
-        include_pid: bool = True,
-    ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream = open(self.path, "w", encoding="utf-8")
-        header = {"schema": schema}
-        if include_pid:
-            # Deterministic artifacts (attribution) omit the pid so serial
-            # and parallel runs stay byte-identical.
-            header["pid"] = os.getpid()
-        self.write(header)
-
-    def write(self, record: dict) -> None:
-        if self._stream.closed:  # pragma: no cover - post-close stragglers
-            return
-        self._stream.write(json.dumps(record, sort_keys=True) + "\n")
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
-
-    def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
-
-    def __enter__(self) -> "TraceLogWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+def open_trace_log(path: PathLike) -> RecordLog:
+    """A fresh ``repro-trace-log/1`` sink; the header names the writer pid."""
+    return RecordLog(path, {"schema": TRACE_LOG_SCHEMA, "pid": os.getpid()})
 
 
 class _Span:
@@ -123,7 +83,8 @@ class Tracer:
     """Span/event recorder shared by one run (serial or parallel parent).
 
     Args:
-        sink: a :class:`TraceLogWriter` (or a path to open one at) that
+        sink: a :class:`~repro.runtime.records.RecordLog` (or a path to
+            open one at with :func:`open_trace_log`) that
             receives one JSON line per finished span / event; ``None``
             (the default) keeps aggregates in memory only.
         metrics: a :class:`~repro.runtime.scheduler.RunMetrics` whose
@@ -133,12 +94,12 @@ class Tracer:
 
     def __init__(
         self,
-        sink: Optional[Union[TraceLogWriter, PathLike]] = None,
+        sink: Optional[Union[RecordLog, PathLike]] = None,
         metrics: Optional[object] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if sink is not None and not isinstance(sink, TraceLogWriter):
-            sink = TraceLogWriter(sink)
+        if sink is not None and not isinstance(sink, RecordLog):
+            sink = open_trace_log(sink)
         self.sink = sink
         self.metrics = metrics
         self.clock = clock
@@ -212,7 +173,8 @@ class Tracer:
 
         try:
             active_chaos().inject("telemetry.write", label=record["name"])
-            self.sink.write(record)
+            if not self.sink.closed:  # post-close stragglers are dropped
+                self.sink.write(record)
         except OSError:
             sink, self.sink = self.sink, None
             try:
@@ -245,28 +207,14 @@ def read_trace_log(path: PathLike, schema: str = TRACE_LOG_SCHEMA) -> List[dict]
 
     Returns the records after the header.  ``schema`` selects which JSONL
     artifact family is expected (``repro-trace-log/1`` by default; the
-    attribution artifact reuses this reader with its own schema).  Raises
-    ``ValueError`` when the header does not match or an interior line is
-    corrupt (a torn *final* line — the signature of a SIGKILL mid-append —
-    is dropped, matching the checkpoint journal's recovery contract).
+    attribution artifact, the sheds log and the metrics stream reuse this
+    reader with their own schema).  Raises ``ValueError`` when the header
+    does not match or an interior line is corrupt; a torn *final* line is
+    dropped (the :mod:`~repro.runtime.records` commit rule).
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    log = read_records(path)
+    if log.header is None:
         raise ValueError(f"{path}: empty trace log")
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: unreadable trace-log header") from None
-    if header.get("schema") != schema:
-        raise ValueError(
-            f"{path}: not a {schema} log (header {header!r})"
-        )
-    records: List[dict] = []
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if index == len(lines):  # torn final append: drop it
-                break
-            raise ValueError(f"{path}:{index}: corrupt trace-log line") from None
-    return records
+    if log.header.get("schema") != schema:
+        raise ValueError(f"{path}: not a {schema} log (header {log.header!r})")
+    return log.records

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from .records import read_records
+
 PathLike = Union[str, Path]
 
 #: JSON schema identifier of the run manifest.
@@ -197,56 +199,32 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _journal_entry(record: dict) -> Tuple[Tuple[str, str], dict]:
+    """``read_records`` parse hook for one checkpoint-journal result."""
+    result = record["result"]
+    if not 0 <= int(result["mispredictions"]) <= int(result["events"]):
+        raise ValueError("inconsistent result counts")
+    return (record["config"], record["benchmark"]), record
+
+
 def read_journal(path: PathLike) -> Tuple[Dict[Tuple[str, str], dict], bool]:
     """Read a checkpoint journal without opening it for writing.
 
     ``CheckpointJournal`` truncates torn tails and appends a header on
-    open; verification must observe, never mutate, so this is a separate
-    read-only parser with the same tolerance rules (torn *final* line
+    open; verification must observe, never mutate, so this reads the
+    same :mod:`~repro.runtime.records` log read-only (torn *final* line
     dropped, interior corruption raises ``ValueError``).
 
     Returns ``((config, benchmark) -> record, dropped_partial)``.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if not lines:
+    journal = read_records(path, parse=_journal_entry)
+    header = journal.header
+    if header is None:
         raise ValueError(f"{path}: empty journal")
-    entries: Dict[Tuple[str, str], dict] = {}
-    dropped_partial = False
-    for index, line in enumerate(lines):
-        last = index == len(lines) - 1
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except ValueError:
-            if last:
-                dropped_partial = True
-                break
-            raise ValueError(f"{path}:{index + 1}: corrupt journal line")
-        if index == 0:
-            if record.get("format") != "repro-checkpoint" \
-                    or record.get("version") != 1:
-                raise ValueError(f"{path}: bad journal header {record!r}")
-            continue
-        try:
-            key = (record["config"], record["benchmark"])
-            result = record["result"]
-            if int(result["mispredictions"]) < 0 \
-                    or int(result["mispredictions"]) > int(result["events"]):
-                raise ValueError("inconsistent result counts")
-        except ValueError:
-            raise
-        except Exception as exc:
-            if last:
-                dropped_partial = True
-                break
-            raise ValueError(
-                f"{path}:{index + 1}: malformed record: {exc}"
-            ) from exc
-        entries[key] = record
-    return entries, dropped_partial
+    if header.get("format") != "repro-checkpoint" \
+            or header.get("version") != 1:
+        raise ValueError(f"{path}: bad journal header {header!r}")
+    return dict(journal.records), journal.dropped_tail
 
 
 def journal_body(path: PathLike) -> List[str]:
@@ -256,15 +234,8 @@ def journal_body(path: PathLike) -> List[str]:
     not under parallelism; sorting makes serial, parallel, resumed, and
     serial-fallback runs directly comparable.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = []
-    for line in lines[1:]:
-        try:
-            json.loads(line)
-        except ValueError:
-            continue  # torn tail
-        body.append(line)
-    return sorted(body)
+    return sorted(json.dumps(record, sort_keys=True)
+                  for record in read_records(path).records)
 
 
 def _check_artifact_schema(kind: str, path: Path,
@@ -802,7 +773,11 @@ def _check_against(run_dir: Path, baseline_dir: Path,
     if not mine.exists():
         report.add("against", False, f"journal {mine} missing")
         return
-    my_body, base_body = journal_body(mine), journal_body(theirs)
+    try:
+        my_body, base_body = journal_body(mine), journal_body(theirs)
+    except ValueError as exc:
+        report.add("against", False, str(exc))
+        return
     if report.degradations.get("checkpoint_off"):
         # The journal is legitimately truncated (appends were disabled
         # mid-run): every line it *does* hold must still be bit-identical

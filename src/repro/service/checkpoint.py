@@ -206,23 +206,6 @@ def load_checkpoint(path: PathLike, shard_id: Optional[int] = None,
                                shard_id=shard_id, spec=spec)
 
 
-def write_payload(path: PathLike, payload: dict) -> None:
-    """Write + fsync a checkpoint payload (no rename — caller publishes)."""
-    with open(path, "w", encoding="utf-8") as sink:
-        json.dump(payload, sink, indent=2, sort_keys=True)
-        sink.write("\n")
-        sink.flush()
-        os.fsync(sink.fileno())
-
-
-def write_checkpoint(path: PathLike, payload: dict) -> None:
-    """Durably write a checkpoint: temp file, fsync, atomic rename."""
-    target = Path(path)
-    scratch = target.with_name(target.name + ".tmp")
-    write_payload(scratch, payload)
-    os.replace(scratch, target)
-
-
 def quarantine_checkpoint(path: PathLike, reason: str) -> Path:
     """Move a failed checkpoint aside with a sidecar naming the reason."""
     source = Path(path)

@@ -39,7 +39,7 @@ memory however long the server runs, percentiles within the documented
 snapshots every ``stats_interval`` seconds; the server merges them with
 its own ``server.*`` snapshot and (a) appends one fsync'd line per tick
 to ``metrics-stream.jsonl`` (schema ``repro-service-metrics-stream/1``,
-torn-tail tolerant like the trace log) and (b) serves the merged
+a :mod:`~repro.runtime.records` log) and (b) serves the merged
 snapshot in every ``stats`` response — the surface behind ``repro
 stats`` and ``repro top``.
 """
@@ -59,7 +59,8 @@ from typing import Dict, List, Optional
 from ..runtime import chaos
 from ..runtime.metrics import LogHistogram, MetricsRegistry, merge_snapshots
 from ..runtime.scheduler import POISONED, Scheduler, WorkUnit
-from ..runtime.telemetry import Tracer, TraceLogWriter
+from ..runtime.records import RecordLog
+from ..runtime.telemetry import Tracer
 from ..runtime.verify import write_manifest
 from .protocol import read_frame, shard_for, write_frame
 from .checkpoint import checkpoint_path
@@ -221,7 +222,7 @@ class PredictionServer:
             "server.queue_depth")
         #: shard id -> last published repro-metrics-snapshot/1.
         self._shard_metrics: Dict[int, dict] = {}
-        self._metrics_stream: Optional[TraceLogWriter] = None
+        self._metrics_stream: Optional[RecordLog] = None
         self._stream_task: Optional[asyncio.Task] = None
         self._stream_seq = 0
         self._started_at = time.monotonic()
@@ -232,9 +233,8 @@ class PredictionServer:
         }
         self.sheds_by_reason: Dict[str, int] = {}
         self.degradations: Dict[str, int] = {}
-        self._sheds_log = TraceLogWriter(
-            self.run_dir / "sheds.jsonl", schema=SHEDS_SCHEMA,
-            include_pid=False)
+        self._sheds_log = RecordLog(
+            self.run_dir / "sheds.jsonl", {"schema": SHEDS_SCHEMA})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -247,9 +247,9 @@ class PredictionServer:
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._monitor_task = asyncio.ensure_future(self._monitor())
-        self._metrics_stream = TraceLogWriter(
+        self._metrics_stream = RecordLog(
             self.run_dir / "metrics-stream.jsonl",
-            schema=METRICS_STREAM_SCHEMA, include_pid=False)
+            {"schema": METRICS_STREAM_SCHEMA})
         self._stream_task = asyncio.ensure_future(self._stream_metrics())
         endpoint = {
             "schema": "repro-service-endpoint/1",
@@ -383,10 +383,11 @@ class PredictionServer:
         """Refuse a batch, journalled and answered — never silently."""
         self.counters["shed"] += 1
         self.sheds_by_reason[reason] = self.sheds_by_reason.get(reason, 0) + 1
-        self._sheds_log.write({
-            "kind": "shed", "tenant": tenant, "bid": bid,
-            "priority": priority, "reason": reason, "shard": shard.id,
-        })
+        if not self._sheds_log.closed:  # stragglers after shutdown
+            self._sheds_log.write({
+                "kind": "shed", "tenant": tenant, "bid": bid,
+                "priority": priority, "reason": reason, "shard": shard.id,
+            })
         self.tracer.event("shed", tenant=tenant, bid=bid, reason=reason,
                           shard=shard.id)
         return {"status": "shed", "reason": reason, "tenant": tenant,

@@ -52,12 +52,13 @@ from ..errors import ReproError, ServiceError
 from ..runtime import chaos
 from ..runtime.cache import TraceCache
 from ..runtime.metrics import MetricsRegistry
+from ..runtime.records import atomic_file, synced_file
 from ..runtime.telemetry import Tracer
 from ..sim.engine import resolve_kernel
 from .checkpoint import (
     build_checkpoint, checkpoint_path, load_checkpoint,
     prev_checkpoint_path, quarantine_checkpoint, read_tenant_stream,
-    restore_predictor, write_payload,
+    restore_predictor,
 )
 from .state import (
     ShardJournal, TENANTS_SCHEMA, TenantMeta, TenantState, TenantStore,
@@ -377,7 +378,9 @@ class ShardCore:
         report = {"completed": False, "journal_records": covered,
                   "base": new_base}
         scratch = cur.with_name(cur.name + ".tmp")
-        write_payload(scratch, payload)                       # step 0
+        with synced_file(scratch, "w") as sink:               # step 0
+            json.dump(payload, sink, indent=2, sort_keys=True)
+            sink.write("\n")
         if crashed(0):
             return report
         if cur.exists():
@@ -515,10 +518,8 @@ class ShardCore:
             "journal_disabled": self.journal.disabled,
             "tenants": self.store.snapshot(),
         }
-        scratch = target.with_suffix(".tmp")
-        scratch.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
-        os.replace(scratch, target)
+        with atomic_file(target, "w") as sink:
+            sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return target
 
     def close(self) -> None:

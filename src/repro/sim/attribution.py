@@ -60,7 +60,8 @@ from ..core.tables import (
 )
 from ..core.twolevel import TwoLevelPredictor
 from ..errors import SimulationError
-from ..runtime.telemetry import PathLike, TraceLogWriter, read_trace_log
+from ..runtime.records import PathLike, RecordLog
+from ..runtime.telemetry import read_trace_log
 from ..workloads.trace import Trace
 
 #: Schema identifier of the attribution artifact (JSONL header line).
@@ -502,9 +503,8 @@ class AttributionCollector:
 
     def write(self, path: PathLike) -> None:
         """Write the ``repro-attribution/1`` artifact (records + summary)."""
-        with TraceLogWriter(
-            path, schema=ATTRIBUTION_SCHEMA, include_pid=False
-        ) as writer:
+        # No pid in the header: serial and parallel runs write equal bytes.
+        with RecordLog(path, {"schema": ATTRIBUTION_SCHEMA}) as writer:
             for record in self.records():
                 writer.write(record)
             writer.write(self.summary())

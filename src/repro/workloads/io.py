@@ -19,9 +19,7 @@ rename, so a reader never observes a half-written trace.  Version-1 files
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 import zlib
 from array import array
 from pathlib import Path
@@ -91,25 +89,14 @@ def save_trace(trace: Trace, path: PathLike) -> None:
         zlib.crc32(pc_blob),
         zlib.crc32(target_blob),
     )
-    path = Path(path)
-    descriptor, temp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent) or "."
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as stream:
-            stream.write(header)
-            stream.write(metadata_blob)
-            stream.write(pc_blob)
-            stream.write(target_blob)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    # Imported here: the runtime package imports this module at load time.
+    from ..runtime.records import atomic_file
+
+    with atomic_file(path) as stream:
+        stream.write(header)
+        stream.write(metadata_blob)
+        stream.write(pc_blob)
+        stream.write(target_blob)
 
 
 def _check_crc(path: PathLike, what: str, blob: bytes, expected: int) -> None:

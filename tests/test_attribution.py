@@ -230,10 +230,10 @@ class TestArtifact:
                 r["causes"][cause] for r in records[:-1])
 
     def test_wrong_schema_rejected(self, tmp_path):
-        from repro.runtime.telemetry import TraceLogWriter
+        from repro.runtime.telemetry import open_trace_log
 
         path = tmp_path / "not_attribution.jsonl"
-        TraceLogWriter(path).close()  # plain repro-trace-log/1 header
+        open_trace_log(path).close()  # plain repro-trace-log/1 header
         with pytest.raises(ValueError, match=ATTRIBUTION_SCHEMA):
             read_attribution(path)
 

@@ -16,6 +16,7 @@ Four surfaces, from the inside out:
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,7 +38,8 @@ from repro.runtime.metrics import (
     snapshot_bytes,
     validate_snapshot,
 )
-from repro.runtime.telemetry import TraceLogWriter, read_trace_log
+from repro.runtime.records import RecordLog
+from repro.runtime.telemetry import read_trace_log
 from repro.service.console import render_stats, shard_rows
 from repro.service.state import METRICS_STREAM_SCHEMA
 
@@ -245,8 +247,7 @@ class TestValidation:
 
 class TestStreamArtifact:
     def write_stream(self, path, records):
-        with TraceLogWriter(path, schema=METRICS_STREAM_SCHEMA,
-                            include_pid=False) as writer:
+        with RecordLog(path, {"schema": METRICS_STREAM_SCHEMA}) as writer:
             for record in records:
                 writer.write(record)
 
@@ -438,3 +439,22 @@ class TestBenchTrend:
         assert [r["run"] for r in records] == [1, 2, 3]
         header = json.loads(history.read_text().splitlines()[0])
         assert header["schema"] == "repro-bench-trend/1"
+
+    def test_torn_append_then_two_records_stays_readable(self, tmp_path):
+        """A SIGKILL mid-append must not poison the history: the next
+        --record cuts the torn tail before appending."""
+        tool = load_bench_trend()
+        history = tmp_path / "trend.jsonl"
+        bench = self.write(tmp_path / "BENCH_serve.json", self.serve_doc(5e4))
+        assert tool.main(["--history", str(history), "--record", bench]) == 0
+        with open(history, "ab") as sink:
+            sink.write(b'{"kind": "run", "metrics": {"BENCH_se')  # SIGKILL
+        for _ in range(2):
+            assert tool.main(["--history", str(history), "--record",
+                              bench]) == 0
+        assert [r["run"] for r in tool.read_history(history)] == [1, 2, 3]
+        assert tool.main(["--history", str(history), bench]) == 0
+        validator = (Path(__file__).resolve().parent.parent / ".github"
+                     / "workflows" / "check_metrics_schema.py")
+        subprocess.run([sys.executable, str(validator), str(history)],
+                       check=True, capture_output=True)

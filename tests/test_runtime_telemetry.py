@@ -18,8 +18,8 @@ from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.scheduler import RunMetrics
 from repro.runtime.telemetry import (
     TRACE_LOG_SCHEMA,
-    TraceLogWriter,
     Tracer,
+    open_trace_log,
     read_trace_log,
 )
 from repro.sim.suite_runner import SuiteRunner
@@ -141,7 +141,7 @@ class TestTraceLog:
             read_trace_log(path)
 
     def test_writer_accepts_open_sink(self, tmp_path):
-        sink = TraceLogWriter(tmp_path / "log.jsonl")
+        sink = open_trace_log(tmp_path / "log.jsonl")
         tracer = Tracer(sink=sink)
         assert tracer.sink is sink
         tracer.close()

@@ -36,6 +36,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.runtime.records import (  # noqa: E402
+    RecordError, RecordFile, RecordLog, read_records,
+)
 from repro.sim.reporting import format_table  # noqa: E402
 
 TREND_SCHEMA = "repro-bench-trend/1"
@@ -106,37 +109,24 @@ def direction_of(metric: str) -> str:
     return "higher"
 
 
-def read_history(path: Path) -> list:
-    """Run records from a trend history; tolerates a torn final line."""
+def load_history(path: Path) -> RecordFile:
+    """Parse a trend history (a record log); a torn final line is dropped."""
     if not path.exists():
-        return []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return []
-    header = json.loads(lines[0])
-    if header.get("schema") != TREND_SCHEMA:
+        return RecordFile(None, [], 0, False)
+    try:
+        history = read_records(path)
+    except RecordError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    header = history.header
+    if header is not None and header.get("schema") != TREND_SCHEMA:
         raise SystemExit(f"error: {path} is not a {TREND_SCHEMA} history "
                          f"(header {header!r})")
-    records = []
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if index == len(lines):  # torn final append: drop it
-                break
-            raise SystemExit(f"error: {path}:{index}: corrupt history line")
-    return records
+    return history
 
 
-def append_record(path: Path, record: dict) -> None:
-    """Append one run record, writing the schema header on first use."""
-    fresh = not path.exists() or path.stat().st_size == 0
-    with open(path, "a", encoding="utf-8") as stream:
-        if fresh:
-            stream.write(json.dumps({"schema": TREND_SCHEMA}) + "\n")
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
+def read_history(path: Path) -> list:
+    """Run records from a trend history."""
+    return load_history(path).records
 
 
 def delta_rows(baseline: dict, current: dict, budget_pct: float):
@@ -197,7 +187,8 @@ def main(argv=None) -> int:
         raise SystemExit("error: no tracked metrics in the given artifacts")
 
     history_path = Path(args.history)
-    records = read_history(history_path)
+    history = load_history(history_path)
+    records = history.records
 
     if args.record:
         record = {"kind": "run",
@@ -205,7 +196,10 @@ def main(argv=None) -> int:
                   "metrics": current}
         if args.label:
             record["label"] = args.label
-        append_record(history_path, record)
+        # Appends after the committed prefix: a torn tail is cut first.
+        with RecordLog(history_path, {"schema": TREND_SCHEMA},
+                       history.committed) as log:
+            log.write(record)
         print(f"{history_path}: recorded run {record['run']} "
               f"({len(current)} metrics)")
         return 0
