@@ -91,8 +91,9 @@ ATTRIBUTION_RECORD_KEYS = {
 METRICS_KEYS = {
     "schema", "workers", "wall_time_s", "phases", "units", "worker_crashes",
     "unit_wall_time_s", "queue_depth", "worker_utilization", "trace_loads",
-    "per_unit", "counters",
+    "per_unit", "counters", "kernels", "kernel_fallbacks",
 }
+KERNELS = {"event", "batch"}
 UNIT_KEYS = {"total", "completed", "from_checkpoint", "requeued", "poisoned"}
 TRACE_SOURCES = {"memo", "cache", "generated"}
 
@@ -122,9 +123,20 @@ def check_metrics(path: str) -> None:
     for event, count in data.get("degradations", {}).items():
         assert event in DEGRADATION_EVENTS, f"unknown degradation {event!r}"
         assert count >= 1, (event, count)
+    # Every completed unit ran on exactly one kernel; every auto
+    # fallback (counted by reason) ran on the per-event loop.
+    kernels, fallbacks = data["kernels"], data["kernel_fallbacks"]
+    assert set(kernels) <= KERNELS, sorted(kernels)
+    for name, count in {**kernels, **fallbacks}.items():
+        assert isinstance(name, str) and name, repr(name)
+        assert isinstance(count, int) and count >= 1, (name, count)
+    assert sum(kernels.values()) == data["units"]["completed"], \
+        (kernels, data["units"])
+    assert sum(fallbacks.values()) <= kernels.get("event", 0), \
+        (fallbacks, kernels)
     print(f"{path}: valid {METRICS_SCHEMA} "
           f"({data['units']['completed']} units, "
-          f"{len(data['phases'])} phases)")
+          f"{len(data['phases'])} phases, kernels {kernels})")
 
 
 def check_trace_log(path: str) -> None:
@@ -293,9 +305,11 @@ def check_bench_kernel(path: str) -> None:
     assert data["events"] > 0, "benchmark ran on an empty trace"
     budgets = data["budgets"]
     assert set(budgets) == {"tagless_speedup_min", "aggregate_speedup_min",
-                            "enforced"}, sorted(budgets)
+                            "fullassoc_speedup_min", "enforced"}, \
+        sorted(budgets)
     figures = data["figures"]
-    assert set(figures) == {"fig16", "fig18_table6"}, sorted(figures)
+    assert set(figures) == {"fig16", "fig18_table6", "fig11"}, \
+        sorted(figures)
     for name, figure in figures.items():
         assert figure["configs"] > 0, name
         assert figure["oracle_s"] > 0.0 and figure["batch_s"] > 0.0, name
@@ -320,7 +334,9 @@ def check_bench_kernel(path: str) -> None:
             assert abs(total - figure[column]) <= slack + 0.01 * figure[column], \
                 f"{name}: class {column} sum {total:.3f} vs {figure[column]}"
         if budgets["enforced"]:
-            assert figure["speedup"] >= budgets["aggregate_speedup_min"], \
+            floor = budgets["fullassoc_speedup_min" if name == "fig11"
+                            else "aggregate_speedup_min"]
+            assert figure["speedup"] >= floor, \
                 f"{name}: aggregate speedup below enforced budget"
             tagless = classes.get("tagless")
             if tagless:
@@ -328,7 +344,8 @@ def check_bench_kernel(path: str) -> None:
                     f"{name}: tagless speedup below enforced budget"
     print(f"{path}: valid {BENCH_KERNEL_SCHEMA} "
           f"(fig16 {figures['fig16']['speedup']}x, "
-          f"fig18_table6 {figures['fig18_table6']['speedup']}x)")
+          f"fig18_table6 {figures['fig18_table6']['speedup']}x, "
+          f"fig11 {figures['fig11']['speedup']}x)")
 
 
 def assert_snapshot(snapshot, context: str) -> None:

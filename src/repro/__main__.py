@@ -120,6 +120,7 @@ from .core.factory import config_from_spec
 from .errors import CheckpointError, IngestError, ServiceError, SimulationError
 from .experiments import experiment_ids, run_experiment
 from .experiments.base import checkpointed_runner
+from .sim.engine import AUTO_MIN_EVENTS
 from .sim.groups import REAL_GROUP
 from .sim.reporting import format_table
 from .sim.suite_runner import SuiteRunner, shared_runner
@@ -152,7 +153,7 @@ def _make_runner(args: argparse.Namespace) -> SuiteRunner:
     workers = getattr(args, "workers", 1)
     trace_log = getattr(args, "trace_log", None)
     attribution = getattr(args, "attribution", None)
-    kernel = getattr(args, "kernel", "event")
+    kernel = getattr(args, "kernel", "auto")
     ingest = getattr(args, "ingest", None) or []
     _prepare_output(trace_log)
     _prepare_output(attribution)
@@ -167,7 +168,7 @@ def _make_runner(args: argparse.Namespace) -> SuiteRunner:
             print(f"resuming: {len(runner.checkpoint)} checkpointed "
                   f"simulation(s) will not be re-run", file=sys.stderr)
     elif workers > 1 or scale is not None or trace_log or attribution \
-            or ingest or kernel != "event":
+            or ingest or kernel != "auto":
         runner = SuiteRunner(scale=scale, workers=workers,
                              trace_log=trace_log,
                              attribution=bool(attribution),
@@ -255,14 +256,17 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                              "work units (default: 1 = serial; results "
                              "are bit-identical either way)")
     parser.add_argument("--kernel", choices=("event", "batch", "auto"),
-                        default="event",
-                        help="simulation kernel: 'event' (per-event "
-                             "oracle loop, default), 'batch' (vectorized "
-                             "column kernel, bit-exact, errors on "
-                             "unsupported configs), or 'auto' (batch "
-                             "when supported, oracle otherwise); "
-                             "--attribution always uses the per-event "
-                             "engine")
+                        default="auto",
+                        help="simulation kernel: 'auto' (default: the "
+                             "vectorized column kernel on traces of at "
+                             f"least {AUTO_MIN_EVENTS} events when it "
+                             "supports the config, the per-event loop "
+                             "otherwise), "
+                             "'event' (always the per-event oracle "
+                             "loop), or 'batch' (always the kernel, "
+                             "errors on unsupported configs); results "
+                             "are bit-identical; --attribution always "
+                             "uses the per-event engine")
     parser.add_argument("--metrics-out", metavar="FILE",
                         help="write the run's JSON metrics record "
                              "(repro-run-metrics/2: per-phase breakdown, "

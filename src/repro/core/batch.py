@@ -70,8 +70,10 @@ def as_int64_columns(pcs, targets) -> Tuple[np.ndarray, np.ndarray]:
     scalar oracle's unbounded Python integers would diverge from any
     fixed-width vector computation.
     """
-    pc_col = np.asarray(pcs, dtype=np.uint64).astype(np.int64, copy=False)
-    target_col = np.asarray(targets, dtype=np.uint64).astype(np.int64, copy=False)
+    # A view, not a copy: every in-range value means the same in both
+    # dtypes, and a value >= 2**63 turns negative and fails the check.
+    pc_col = np.asarray(pcs, dtype=np.uint64).view(np.int64)
+    target_col = np.asarray(targets, dtype=np.uint64).view(np.int64)
     for name, col in (("pc", pc_col), ("target", target_col)):
         if col.size and (col.min() < 0 or col.max() >= COLUMN_LIMIT):
             raise BatchDtypeError(

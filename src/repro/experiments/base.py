@@ -110,7 +110,7 @@ def checkpointed_runner(
     workers: int = 1,
     trace_log: Optional[Union[str, Path]] = None,
     attribution: bool = False,
-    kernel: str = "event",
+    kernel: str = "auto",
 ):
     """A :class:`~repro.sim.suite_runner.SuiteRunner` with durability.
 
@@ -139,9 +139,10 @@ def checkpointed_runner(
     collected records are written by
     :meth:`~repro.sim.suite_runner.SuiteRunner.write_attribution`.
 
-    ``kernel`` selects the simulation kernel for fresh runs (``"event"``,
-    ``"batch"``, or ``"auto"``); checkpointed results replay regardless
-    of the kernel that produced them — the two are bit-identical.
+    ``kernel`` selects the simulation kernel for fresh runs (``"auto"``,
+    the default, ``"event"``, or ``"batch"``); checkpointed results
+    replay regardless of the kernel that produced them — the two are
+    bit-identical.
     """
     from ..runtime.checkpoint import CheckpointJournal
     from ..sim.suite_runner import SuiteRunner

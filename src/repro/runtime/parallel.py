@@ -76,14 +76,15 @@ def _worker_main(
     result_queue: "multiprocessing.Queue",
     attribution: bool = False,
     chaos_path: Optional[str] = None,
-    kernel: str = "event",
+    kernel: str = "auto",
 ) -> None:
     """Worker loop: pull (unit_id, config, benchmark), simulate, report.
 
     Messages back to the parent::
 
         ("ok",  worker_id, unit_id, SimulationResult, trace_source,
-                seconds, load_seconds, attribution_record_or_None)
+                seconds, load_seconds, attribution_record_or_None,
+                kernel, fallback_reason_or_None)
         ("err", worker_id, unit_id, error_type_name, error_message, seconds)
 
     ``trace_source`` records where the trace came from (``memo`` — this
@@ -98,9 +99,13 @@ def _worker_main(
     classifying loop and the final "ok" field carries the unit's
     serialized ``repro-attribution/1`` record (already normalized by the
     collector, so the parent merges dicts identical to the serial path's).
+
+    ``kernel`` is the kernel :func:`~repro.sim.engine.sweep_kernel` chose
+    for the unit; ``fallback_reason`` says why an ``auto`` request ran on
+    the per-event loop (``None`` when it did not).
     """
     from ..core.factory import build_predictor
-    from ..sim.engine import simulate
+    from ..sim.engine import simulate, sweep_kernel
     from ..workloads.program import generate_trace
     from ..workloads.suite import workload_config
     from . import chaos
@@ -147,8 +152,11 @@ def _worker_main(
                 load_seconds = time.perf_counter() - load_start
             traces[benchmark] = trace
             collector = AttributionCollector() if attribution else None
-            result = simulate(build_predictor(config), trace,
-                              attribution=collector, kernel=kernel)
+            predictor = build_predictor(config)
+            chosen, fallback = sweep_kernel(predictor, len(trace), kernel,
+                                            collector)
+            result = simulate(predictor, trace, attribution=collector,
+                              kernel=chosen)
             attribution_record = (
                 collector.records()[0] if collector is not None else None
             )
@@ -162,6 +170,7 @@ def _worker_main(
         result_queue.put((
             "ok", worker_id, unit_id, result, source,
             time.perf_counter() - start, load_seconds, attribution_record,
+            chosen, fallback,
         ))
 
 
@@ -265,10 +274,11 @@ class ParallelExecutor:
             record back with the result (see ``run``'s
             ``on_attribution``).
         mp_context: ``multiprocessing`` context override (tests).
-        kernel: simulation kernel forwarded to every worker's
-            ``simulate`` call (``"event"``, ``"batch"``, or ``"auto"``);
-            the serial crash-fallback path uses the same kernel, so
-            results stay identical either way.
+        kernel: simulation kernel requested for every unit (``"auto"``,
+            the default, ``"event"``, or ``"batch"``), resolved per unit
+            by :func:`~repro.sim.engine.sweep_kernel`; the serial
+            crash-fallback path resolves it the same way, so results
+            stay identical either way.
     """
 
     def __init__(
@@ -282,7 +292,7 @@ class ParallelExecutor:
         tracer: Optional[Tracer] = None,
         attribution: bool = False,
         mp_context: Optional[object] = None,
-        kernel: str = "event",
+        kernel: str = "auto",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -463,7 +473,7 @@ class ParallelExecutor:
         unit = unit_by_id[unit_id]
         if kind == "ok":
             (_, _, _, result, trace_source, seconds, load_seconds,
-             attribution_record) = message
+             attribution_record, kernel, fallback) = message
             if scheduler.complete(unit_id):
                 results[unit_id] = result
                 # Attribute the worker-reported split to the run's phase
@@ -481,6 +491,7 @@ class ParallelExecutor:
                     unit.label, unit.benchmark,
                     str(getattr(unit.config, "label", unit.config)),
                     seconds, worker_id, scheduler.attempts(unit_id), trace_source,
+                    kernel=kernel, fallback=fallback,
                 )
                 if on_result is not None:
                     on_result(unit, result)
@@ -608,7 +619,7 @@ class ParallelExecutor:
     ) -> None:
         """Run every remaining unit in the parent process, one at a time."""
         from ..core.factory import build_predictor
-        from ..sim.engine import simulate
+        from ..sim.engine import simulate, sweep_kernel
         from ..workloads.program import generate_trace
         from ..workloads.suite import workload_config
 
@@ -638,8 +649,11 @@ class ParallelExecutor:
                     load_seconds = time.perf_counter() - load_start
                     traces[unit.benchmark] = trace
                 collector = AttributionCollector() if self.attribution else None
-                result = simulate(build_predictor(unit.config), trace,
-                                  attribution=collector, kernel=self.kernel)
+                predictor = build_predictor(unit.config)
+                kernel, fallback = sweep_kernel(predictor, len(trace),
+                                                self.kernel, collector)
+                result = simulate(predictor, trace, attribution=collector,
+                                  kernel=kernel)
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 outcome = scheduler.fail(unit.unit_id, error)
@@ -667,6 +681,7 @@ class ParallelExecutor:
                 str(getattr(unit.config, "label", unit.config)),
                 seconds, "serial-fallback",
                 scheduler.attempts(unit.unit_id), source,
+                kernel=kernel, fallback=fallback,
             )
             if on_result is not None:
                 on_result(unit, result)

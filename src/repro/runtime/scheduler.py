@@ -264,6 +264,10 @@ class RunMetrics:
     #: mirrored from :attr:`Tracer.counters` so the metrics artifact
     #: carries them (``counters`` key of ``repro-run-metrics/2``)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: simulation kernel that ran ("event"/"batch") -> completed units
+    kernels: Dict[str, int] = field(default_factory=dict)
+    #: why a ``kernel="auto"`` unit ran on the per-event loop -> count
+    kernel_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     def record_unit(
         self,
@@ -274,14 +278,26 @@ class RunMetrics:
         worker: object,
         attempt: int,
         trace_source: str,
+        kernel: Optional[str] = None,
+        fallback: Optional[str] = None,
     ) -> None:
-        """Record one completed simulation."""
+        """Record one completed simulation.
+
+        ``kernel`` is the kernel that ran it (``None`` when a custom
+        simulate function did) and ``fallback`` the reason an ``auto``
+        request ran on the per-event loop.
+        """
         self.unit_timings.append(UnitTiming(
             unit, benchmark, config, seconds, worker, attempt, trace_source,
         ))
         self.units_completed += 1
         self.worker_busy[worker] = self.worker_busy.get(worker, 0.0) + seconds
         self.trace_loads[trace_source] = self.trace_loads.get(trace_source, 0) + 1
+        if kernel is not None:
+            self.kernels[kernel] = self.kernels.get(kernel, 0) + 1
+        if fallback is not None:
+            self.kernel_fallbacks[fallback] = (
+                self.kernel_fallbacks.get(fallback, 0) + 1)
 
     def record_phase(self, name: str, seconds: float) -> None:
         """Accumulate one span into the per-phase breakdown (tracer hook)."""
@@ -337,6 +353,8 @@ class RunMetrics:
             },
             "worker_utilization": self.utilization(),
             "trace_loads": dict(self.trace_loads),
+            "kernels": dict(sorted(self.kernels.items())),
+            "kernel_fallbacks": dict(sorted(self.kernel_fallbacks.items())),
             "counters": dict(sorted(self.counters.items())),
             "per_unit": [t.to_dict() for t in self.unit_timings],
         }

@@ -16,9 +16,10 @@ gap with two pieces:
 * :func:`verify_run` — the ``repro verify RUN_DIR`` entry point: checks
   the manifest hashes, re-validates each artifact against its own format
   (journal header/record structure, trace-log and attribution schemas,
-  metrics schema and key set), and cross-checks the artifacts against
-  each other — journal entry count vs the metrics' completed units,
-  attribution per-cause miss sums vs the journal's fast-path totals.
+  metrics schema, key set and per-kernel unit counts), and cross-checks
+  the artifacts against each other — journal entry count vs the
+  metrics' completed units, attribution per-cause miss sums vs the
+  journal's fast-path totals.
   With ``against=BASELINE_DIR`` it additionally proves the run
   bit-identical to a reference run (the determinism contract: resumed,
   parallel, and serial-fallback runs must all match a clean serial run).
@@ -484,6 +485,30 @@ def verify_run(
     return report
 
 
+def _kernel_counts_problem(data: dict) -> Optional[str]:
+    """What is wrong with a run-metrics record's kernel counts, if anything.
+
+    Every completed unit ran on exactly one kernel, and every ``auto``
+    fallback ran on the per-event loop.
+    """
+    kernels = data.get("kernels", {})
+    fallbacks = data.get("kernel_fallbacks", {})
+    for name, count in {**kernels, **fallbacks}.items():
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            return f"kernel count {name!r} = {count!r} is not a positive int"
+    unknown = sorted(set(kernels) - {"event", "batch"})
+    if unknown:
+        return f"unknown kernel(s) {unknown}"
+    completed = data.get("units", {}).get("completed", 0)
+    if sum(kernels.values()) != completed:
+        return (f"kernels count {sum(kernels.values())} unit(s), "
+                f"{completed} completed")
+    if sum(fallbacks.values()) > kernels.get("event", 0):
+        return (f"{sum(fallbacks.values())} auto fallback(s) but only "
+                f"{kernels.get('event', 0)} per-event unit(s)")
+    return None
+
+
 def _cross_check(parsed: Dict[str, object], report: VerifyReport) -> None:
     """Artifact-vs-artifact consistency checks."""
     _cross_check_service(parsed, report)
@@ -491,6 +516,11 @@ def _cross_check(parsed: Dict[str, object], report: VerifyReport) -> None:
     _cross_check_ingest(parsed, report)
     journal = parsed.get("journal")
     metrics = parsed.get("metrics")
+    if metrics is not None and "kernels" in metrics:
+        problem = _kernel_counts_problem(metrics)
+        summary = ", ".join(f"{count} unit(s) on {name}"
+                            for name, count in metrics["kernels"].items())
+        report.add("kernels", problem is None, problem or summary or "no units")
     if journal is not None and metrics is not None:
         units = metrics.get("units", {})
         expected = units.get("completed", 0) + units.get("from_checkpoint", 0)

@@ -76,6 +76,18 @@ class SimulationResult:
         )
 
 
+#: ``kernel="auto"`` sweeps run the batch kernel only on traces at least
+#: this long and the per-event loop below it.  On short traces the
+#: kernel's fixed numpy cost per call eats its gain (a BTB runs 0.46x on
+#: a 500-event gcc prefix; at 2,000 events every table class is
+#: 1.2-6.5x faster, at 4,096 1.7-10x), and a run whose traces are all
+#: short never imports numpy (~14 MB of RSS per process).
+AUTO_MIN_EVENTS = 4096
+
+#: Why the length rule kept an ``auto`` run on the per-event loop.
+SHORT_TRACE_REASON = f"trace shorter than {AUTO_MIN_EVENTS} events"
+
+
 def resolve_kernel(
     predictor: IndirectBranchPredictor,
     kernel: str = "event",
@@ -116,6 +128,24 @@ def resolve_kernel(
     return "event", reason
 
 
+def sweep_kernel(
+    predictor: IndirectBranchPredictor,
+    events: int,
+    kernel: str = "auto",
+    attribution: Optional[object] = None,
+) -> tuple:
+    """The kernel a sweep runs ``predictor`` on over an ``events``-long trace.
+
+    Applies the :data:`AUTO_MIN_EVENTS` length rule to ``kernel="auto"``,
+    then :func:`resolve_kernel`; returns ``(chosen, reason)`` the same
+    way.  Sweeps pass ``chosen`` to :func:`simulate`, so the kernel named
+    in every ``simulate`` call is the one that runs.
+    """
+    if kernel == "auto" and events < AUTO_MIN_EVENTS:
+        return "event", SHORT_TRACE_REASON
+    return resolve_kernel(predictor, kernel=kernel, attribution=attribution)
+
+
 def simulate(
     predictor: IndirectBranchPredictor,
     trace: Trace,
@@ -149,7 +179,9 @@ def simulate(
             for configurations or modes it cannot simulate exactly;
             ``"auto"`` prefers batch and silently falls back to the
             oracle (attribution runs, ``reset=False`` chaining,
-            unsupported configs, or a missing numpy).  The batch kernel
+            unsupported configs, or a missing numpy).  Sweeps choose
+            through :func:`sweep_kernel`, which also keeps traces
+            shorter than :data:`AUTO_MIN_EVENTS` on the oracle.  The batch kernel
             rebuilds predictor state from the config and leaves the
             ``predictor`` instance untouched; miss counts are bit-exact
             against the oracle.

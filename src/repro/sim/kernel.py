@@ -28,7 +28,8 @@ operations over the ``int64`` trace columns, bit-exactly.  The reduction
 
 Chunked execution carries per-register history, per-entry automaton
 states (with the last two run values), per-set LRU contents, and BPST
-counters across chunk seams, so any ``chunk_events`` yields identical
+counters across chunk seams (entry, set and counter state as sorted
+arrays, see :class:`_Carry`), so any ``chunk_events`` yields identical
 results.  Configurations the kernel cannot simulate exactly (keys wider
 than 63 bits on constrained tables, wide ``shift_xor``/XOR-folded
 patterns) raise :class:`KernelUnsupported`; ``engine.simulate`` falls
@@ -37,6 +38,7 @@ back to the per-event oracle for those.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,8 +49,11 @@ from ..core.config import BTBConfig, HybridConfig, PredictorConfig, TwoLevelConf
 from ..errors import SimulationError
 
 #: Default epoch size for chunked execution.  Large enough that carry
-#: bookkeeping is negligible, small enough to bound peak column memory.
-DEFAULT_CHUNK_EVENTS = 1 << 18
+#: bookkeeping is negligible, small enough to bound peak memory: a
+#: chunk's column temporaries and the Python ints of its LRU walk cost
+#: up to ~70 MB at 1 << 18 events on a fully-associative table, ~11 MB
+#: at 1 << 15.
+DEFAULT_CHUNK_EVENTS = 1 << 15
 
 
 class KernelUnsupported(SimulationError):
@@ -143,6 +148,44 @@ def _geometry(num_entries: Optional[int], associativity: object) -> _Geometry:
     )
 
 
+class _Carry:
+    """Rows of ``int64`` state carried across chunk seams, keyed by id.
+
+    Held as sorted id and row arrays, so a chunk reads and writes the
+    rows of all its ids with a few vector operations and no per-id
+    Python work; that keeps carrying cheap next to a chunk's column work
+    even at small chunk sizes.
+    """
+
+    __slots__ = ("default", "ids", "rows")
+
+    def __init__(self, default: Tuple[int, ...]) -> None:
+        self.default = np.array(default, dtype=np.int64)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.rows = np.empty((0, len(default)), dtype=np.int64)
+
+    def get(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of ascending, distinct ``ids``; ``default`` if new."""
+        rows = np.tile(self.default, (len(ids), 1))
+        if len(self.ids):
+            at = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+            found = self.ids[at] == ids
+            rows[found] = self.rows[at[found]]
+        return rows
+
+    def put(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Set the rows of ascending, distinct ``ids``."""
+        rows = rows.astype(np.int64, copy=False)
+        if len(self.ids):
+            at = np.minimum(np.searchsorted(ids, self.ids), len(ids) - 1)
+            kept = ids[at] != self.ids
+            ids = np.concatenate((self.ids[kept], ids))
+            rows = np.concatenate((self.rows[kept], rows))
+            order = np.argsort(ids)
+            ids, rows = ids[order], rows[order]
+        self.ids, self.rows = ids, rows
+
+
 class _TableState:
     """Carried cross-chunk state for one prediction table."""
 
@@ -150,26 +193,13 @@ class _TableState:
 
     def __init__(self) -> None:
         # group id -> (automaton state, last run value, previous run value)
-        self.entries: Dict[int, Tuple[int, int, int]] = {}
+        self.entries = _Carry((batch.ENTRY_EMPTY_STATE, -1, -1))
         # set id -> (last tag-run tag, previous tag-run tag)
-        self.set_tags: Dict[int, Tuple[int, int]] = {}
-        # set id -> tags in LRU order (general associativity path only)
-        self.lru: Dict[int, List[int]] = {}
-
-
-def _carried_triples(
-    carry: Dict[int, Tuple[int, int, int]], ids: np.ndarray, default: Tuple[int, int, int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    count = len(ids)
-    if not carry:
-        return (
-            np.full(count, default[0], dtype=np.int64),
-            np.full(count, default[1], dtype=np.int64),
-            np.full(count, default[2], dtype=np.int64),
-        )
-    rows = [carry.get(int(value), default) for value in ids.tolist()]
-    packed = np.array(rows, dtype=np.int64).reshape(count, 3)
-    return packed[:, 0], packed[:, 1], packed[:, 2]
+        self.set_tags = _Carry((-1, -1))
+        # set id -> tags in LRU order, oldest first (general associativity
+        # path only); an OrderedDict makes every touch and eviction O(1)
+        # even for a fully-associative set of 32,768 ways
+        self.lru: Dict[int, "OrderedDict[int, None]"] = {}
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
@@ -225,13 +255,7 @@ def _alloc_flags(
 
     set_starts = np.flatnonzero(run_new_set)
     set_ids = run_set[set_starts]
-    if state.set_tags:
-        pairs = [state.set_tags.get(int(s), (-1, -1)) for s in set_ids.tolist()]
-        packed = np.array(pairs, dtype=np.int64).reshape(len(set_ids), 2)
-        tag1, tag2 = packed[:, 0], packed[:, 1]
-    else:
-        tag1 = np.full(len(set_ids), -1, dtype=np.int64)
-        tag2 = np.full(len(set_ids), -1, dtype=np.int64)
+    tag1, tag2 = state.set_tags.get(set_ids).T
     set_index = np.cumsum(run_new_set) - 1
     tag1_run = tag1[set_index]
     tag2_run = tag2[set_index]
@@ -281,21 +305,19 @@ def _alloc_flags(
             ):
                 bucket = lru.get(set_id)
                 if bucket is None:
-                    bucket = lru[set_id] = []
-                if older >= 0 and older in bucket:
-                    bucket.remove(older)
-                    bucket.append(older)
-                if newer >= 0 and newer in bucket:
-                    bucket.remove(newer)
-                    bucket.append(newer)
+                    bucket = lru[set_id] = OrderedDict()
+                # -1 (no such run) is never a resident tag.
+                if older in bucket:
+                    bucket.move_to_end(older)
+                if newer in bucket:
+                    bucket.move_to_end(newer)
                 if tag in bucket:
-                    bucket.remove(tag)
-                    bucket.append(tag)
+                    bucket.move_to_end(tag)
                     append(True)
                 else:
                     if len(bucket) >= ways:
-                        del bucket[0]
-                    bucket.append(tag)
+                        bucket.popitem(last=False)
+                    bucket[tag] = None
                     append(False)
             resident[fresh] = hits
 
@@ -311,10 +333,7 @@ def _alloc_flags(
             run_tag[np.maximum(set_ends - 1, 0)],
             np.where(continuation[set_ends], tag2, tag1),
         )
-        for set_id, one, two in zip(
-            set_ids.tolist(), last_tag.tolist(), prev_tag.tolist()
-        ):
-            state.set_tags[set_id] = (one, two)
+        state.set_tags.put(set_ids, np.stack((last_tag, prev_tag), axis=1))
     return alloc
 
 
@@ -436,9 +455,7 @@ class _TableSim:
 
         group_starts = np.flatnonzero(run_new_group)
         group_ids = sorted_groups[run_positions[group_starts]]
-        init_state, carry_value1, carry_value2 = _carried_triples(
-            self.state.entries, group_ids, (batch.ENTRY_EMPTY_STATE, -1, -1)
-        )
+        init_state, carry_value1, carry_value2 = self.state.entries.get(group_ids).T
         group_index = np.cumsum(run_new_group) - 1
         init_per_run = init_state[group_index]
         carry1_run = carry_value1[group_index]
@@ -486,14 +503,9 @@ class _TableSim:
                 run_values[np.maximum(group_end_run - 1, 0)],
                 carry_value1,
             )
-            entries = self.state.entries
-            for gid, st, one, two in zip(
-                group_ids.tolist(),
-                final_states.tolist(),
-                final_value1.tolist(),
-                final_value2.tolist(),
-            ):
-                entries[gid] = (st, one, two)
+            self.state.entries.put(
+                group_ids, np.stack((final_states, final_value1, final_value2), axis=1)
+            )
 
         if not want_events:
             return misses, None
@@ -690,7 +702,7 @@ class _HybridSim:
                 None if config.selector_entries is None else config.selector_entries - 1
             )
             self.selector_automaton = _selector_automaton(config.selector_bits)
-            self.selector_state: Dict[int, Tuple[int, int, int]] = {}
+            self.selector_state = _Carry((0,))
 
     def run_chunk(self, pcs, targets, want_events, update_carry):
         count = len(pcs)
@@ -742,7 +754,7 @@ class _HybridSim:
 
         group_starts = np.flatnonzero(run_new_group)
         group_ids = sorted_slots[run_positions[group_starts]]
-        init_state, _, _ = _carried_triples(self.selector_state, group_ids, (0, 0, 0))
+        init_state = self.selector_state.get(group_ids)[:, 0]
         init_per_run = init_state[np.cumsum(run_new_group) - 1]
 
         classes = self.selector_max + 1
@@ -763,9 +775,7 @@ class _HybridSim:
             )
             stretch_group_starts = np.flatnonzero(stretch_new_group)
             group_end = np.r_[stretch_group_starts[1:] - 1, len(stretch_symbols) - 1]
-            selector_state = self.selector_state
-            for gid, st in zip(group_ids.tolist(), out_states[group_end].tolist()):
-                selector_state[gid] = (st, 0, 0)
+            self.selector_state.put(group_ids, out_states[group_end][:, None])
 
         offsets = batch.group_ranks(run_start)
         state_e = np.repeat(run_incoming, run_lengths)

@@ -37,7 +37,7 @@ from ..core.factory import build_predictor
 from ..workloads.program import generate_trace
 from ..workloads.suite import AVG_BENCHMARKS, benchmark_names, workload_config
 from ..workloads.trace import Trace
-from .engine import SimulationResult, simulate
+from .engine import SimulationResult, simulate, sweep_kernel
 from .groups import groups_with_real, with_group_averages
 
 
@@ -57,7 +57,7 @@ class SuiteRunner:
         progress: bool = True,
         trace_log: Optional[object] = None,
         attribution: bool = False,
-        kernel: str = "event",
+        kernel: str = "auto",
     ) -> None:
         """Args beyond the suite subset and trace scale:
 
@@ -90,13 +90,17 @@ class SuiteRunner:
                 ``run_trace`` paths stay untouched.  Results replayed from
                 a checkpoint carry no attribution record (only the re-run
                 units are instrumented).
-            kernel: simulation kernel for every fresh run — ``"event"``
-                (default, the per-event oracle loop), ``"batch"`` (the
-                vectorized column kernel, strict), or ``"auto"`` (batch
-                when supported, oracle otherwise).  Attribution runs
-                always use the per-event engine; combining
-                ``attribution=True`` with ``kernel="batch"`` is
-                rejected.
+            kernel: simulation kernel for every fresh run — ``"auto"``
+                (default: the vectorized column kernel when it supports
+                the config and the trace has at least
+                :data:`~repro.sim.engine.AUTO_MIN_EVENTS` events, the
+                per-event oracle loop otherwise), ``"event"`` (always
+                the oracle), or ``"batch"`` (the kernel, strict).
+                Attribution runs always use the per-event engine;
+                combining ``attribution=True`` with ``kernel="batch"``
+                is rejected.  Each completed unit's kernel, and the
+                reason for every ``auto`` fallback, is counted in
+                :meth:`metrics_summary`.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -253,15 +257,18 @@ class SuiteRunner:
         self, config: PredictorConfig, benchmark: str
     ) -> SimulationResult:
         label = getattr(config, "label", str(config))
-        sources: Dict[str, str] = {}
+        sources: Dict[str, Optional[str]] = {}
 
         def work() -> SimulationResult:
             predictor = build_predictor(config)
             trace, sources["trace"] = self._trace_with_source(benchmark)
             if self._simulate is simulate:
+                kernel, sources["fallback"] = sweep_kernel(
+                    predictor, len(trace), self.kernel, self.attribution)
+                sources["kernel"] = kernel
                 return simulate(predictor, trace, tracer=self.tracer,
                                 attribution=self.attribution,
-                                kernel=self.kernel)
+                                kernel=kernel)
             with self.tracer.span("simulate", benchmark=benchmark,
                                   predictor=str(label)):
                 return self._simulate(predictor, trace)
@@ -287,6 +294,7 @@ class SuiteRunner:
             f"{label}/{benchmark}", benchmark, str(label), elapsed,
             worker="serial", attempt=1,
             trace_source=sources.get("trace", "generated"),
+            kernel=sources.get("kernel"), fallback=sources.get("fallback"),
         )
         return result
 
@@ -344,8 +352,12 @@ class SuiteRunner:
 
         cache = self._parallel_trace_cache()
         # Generate each needed trace exactly once, through the normal
-        # (memo -> disk -> generate) path; workers then only load.
+        # (memo -> disk -> generate) path; workers then only load.  A
+        # trace this call memoised is dropped once it is in the cache:
+        # forked workers load their own copy, so holding it here would
+        # only add it to every worker's inherited memory.
         for benchmark in {benchmark for _, benchmark in todo}:
+            held = benchmark in self._traces
             self.trace(benchmark)
             if benchmark in self._external:
                 # Workers cannot re-normalize an external source (they
@@ -353,6 +365,8 @@ class SuiteRunner:
                 # knows the synthetic suite), so the shared cache must
                 # hold a digest-fresh copy before dispatch.
                 self._ensure_external_cached(cache, benchmark)
+            if not held:
+                del self._traces[benchmark]
         units = [
             WorkUnit(unit_id, config, benchmark)
             for unit_id, (config, benchmark) in enumerate(todo)

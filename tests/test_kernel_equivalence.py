@@ -22,7 +22,13 @@ from repro.core.config import BTBConfig, HybridConfig, TwoLevelConfig
 from repro.core.factory import build_predictor, config_from_spec
 from repro.errors import SimulationError, TraceError
 from repro.ingest import ExternalTraceSource, write_ext_trace
-from repro.sim.engine import resolve_kernel, simulate
+from repro.sim.engine import (
+    AUTO_MIN_EVENTS,
+    SHORT_TRACE_REASON,
+    resolve_kernel,
+    simulate,
+    sweep_kernel,
+)
 from repro.sim.kernel import (
     DEFAULT_CHUNK_EVENTS,
     batch_run_trace,
@@ -162,6 +168,61 @@ class TestChunking:
                                    chunk_events=chunk) == expected
 
 
+@pytest.fixture(scope="module")
+def wide_trace():
+    """~1,650 sites with random reuse: LRU evicts at every size to 1,024."""
+    import random
+
+    rng = random.Random(5)
+    pcs, targets = [], []
+    for step in range(8000):
+        if rng.random() < 0.4:
+            site = rng.randrange(1600)
+        else:
+            site = 1600 + rng.randrange(48)
+        pcs.append(0x10000 + 4 * site)
+        targets.append(0x80000 + 4 * ((site + step // 256) % 5))
+    return Trace(pcs, targets, TraceMetadata(name="wide"))
+
+
+class TestFullyAssociative:
+    """One set of up to 1,024 ways, LRU order carried across chunk seams."""
+
+    SIZES = (16, 256, 1024)
+
+    @staticmethod
+    def configs(size):
+        return (
+            BTBConfig(num_entries=size, associativity="full"),
+            TwoLevelConfig.practical(1, size, "full"),
+            TwoLevelConfig.practical(3, size, "full"),
+        )
+
+    def test_every_size_evicts(self, wide_trace):
+        # Guards the trace: each size must lose hits to capacity, or the
+        # equivalence below would not exercise the LRU walk.
+        misses = [oracle_misses(BTBConfig(num_entries=size,
+                                          associativity="full"), wide_trace)
+                  for size in self.SIZES + (1 << 15,)]
+        assert misses == sorted(misses, reverse=True)
+        assert len(set(misses)) == len(misses)
+
+    @pytest.mark.parametrize("chunk", [1, 37, 500, DEFAULT_CHUNK_EVENTS])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_chunk_seams_match_oracle(self, wide_trace, size, chunk):
+        if chunk == 1:
+            # A seam after every event: a short head keeps it quick.
+            trace = Trace(wide_trace.pcs[:500], wide_trace.targets[:500],
+                          TraceMetadata(name="wide-head"))
+        else:
+            trace = wide_trace
+        pcs, targets = columns(trace)
+        for config in self.configs(size):
+            assert batch_run_trace(config, pcs, targets,
+                                   chunk_events=chunk) \
+                == oracle_misses(config, trace), config.label
+
+
 class TestWraparoundRegression:
     """uint32 columns near 2**32 must not wrap in key assembly."""
 
@@ -261,6 +322,16 @@ class TestKernelResolution:
         assert chosen == "event"
         assert "config" in reason
 
+    def test_length_rule(self):
+        predictor = build_predictor(BTBConfig())
+        short, long = AUTO_MIN_EVENTS - 1, AUTO_MIN_EVENTS
+        assert sweep_kernel(predictor, short, "auto") \
+            == ("event", SHORT_TRACE_REASON)
+        assert sweep_kernel(predictor, long, "auto") == ("batch", None)
+        # Only auto follows the rule: explicit kernels run as asked.
+        assert sweep_kernel(predictor, short, "batch") == ("batch", None)
+        assert sweep_kernel(predictor, long, "event") == ("event", None)
+
     def test_suite_runner_rejects_batch_attribution(self, tmp_path):
         with pytest.raises(ValueError, match="attribution"):
             SuiteRunner(benchmarks=("perl",), scale=0.1,
@@ -272,6 +343,89 @@ class TestKernelResolution:
             SuiteRunner(benchmarks=("perl",), scale=0.1,
                         cache_dir=tmp_path / "t", progress=False,
                         kernel="simd")
+
+
+def _exact_length_generator(events_by_benchmark):
+    """A ``generate_fn`` giving each benchmark a trace of a set length."""
+
+    def generate(config):
+        return generate_trace(WorkloadConfig(
+            name=config.name, events=events_by_benchmark[config.name],
+            seed=11))
+
+    return generate
+
+
+class TestAutoLengthRule:
+    """``auto`` runs the kernel only on traces of AUTO_MIN_EVENTS or more."""
+
+    CONFIGS = (BTBConfig(num_entries=64, associativity=4),
+               TwoLevelConfig.practical(3, 256, "full"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("events, kernel", [
+        (AUTO_MIN_EVENTS - 1, "event"),
+        (AUTO_MIN_EVENTS, "batch"),
+    ])
+    def test_runner_picks_kernel_by_length(self, tmp_path, workers, events,
+                                           kernel):
+        generate = _exact_length_generator({"perl": events})
+        runner = SuiteRunner(benchmarks=("perl",), scale=1.0,
+                             cache_dir=tmp_path / "auto", progress=False,
+                             workers=workers, generate_fn=generate)
+        oracle = SuiteRunner(benchmarks=("perl",), scale=1.0,
+                             cache_dir=tmp_path / "event", progress=False,
+                             kernel="event", generate_fn=generate)
+        pairs = [(config, "perl") for config in self.CONFIGS]
+        runner.compute_many(pairs)
+        summary = runner.metrics_summary()
+        assert summary["kernels"] == {kernel: len(self.CONFIGS)}
+        expected_fallbacks = (
+            {SHORT_TRACE_REASON: len(self.CONFIGS)} if kernel == "event"
+            else {})
+        assert summary["kernel_fallbacks"] == expected_fallbacks
+        for config in self.CONFIGS:
+            assert runner.result(config, "perl") \
+                == oracle.result(config, "perl")
+        assert oracle.metrics_summary()["kernels"] \
+            == {"event": len(self.CONFIGS)}
+        assert oracle.metrics_summary()["kernel_fallbacks"] == {}
+
+    def test_unsupported_config_fallback_is_counted(self, tmp_path):
+        config = TwoLevelConfig(path_length=12, precision="full",
+                                pattern_budget=24)
+        if supports(config):  # pragma: no cover - envelope may grow
+            pytest.skip("config became supported")
+        generate = _exact_length_generator({"perl": AUTO_MIN_EVENTS})
+        runner = SuiteRunner(benchmarks=("perl",), scale=1.0,
+                             cache_dir=tmp_path / "t", progress=False,
+                             generate_fn=generate)
+        runner.result(config, "perl")
+        summary = runner.metrics_summary()
+        assert summary["kernels"] == {"event": 1}
+        assert summary["kernel_fallbacks"] == {unsupported_reason(config): 1}
+
+
+class TestParallelTraceMemo:
+    """A parallel batch leaves the parent's trace memo as it found it."""
+
+    def test_parent_keeps_only_traces_it_held(self, tmp_path):
+        config = TwoLevelConfig.practical(3, 256, 2)
+        pairs = [(config, "perl"), (config, "ixx"), (config, "jhm")]
+        parallel = SuiteRunner(benchmarks=("perl", "ixx", "jhm"),
+                               scale=0.1, cache_dir=tmp_path / "p",
+                               progress=False, workers=2)
+        held = parallel.trace("ixx")
+        parallel.compute_many(pairs)
+        assert set(parallel._traces) == {"ixx"}
+        assert parallel._traces["ixx"] is held
+        cache = parallel.trace_cache
+        for benchmark in ("perl", "jhm"):
+            assert cache.load(cache.key(benchmark, 0.1)) is not None
+        serial = SuiteRunner(benchmarks=("perl", "ixx", "jhm"), scale=0.1,
+                             cache_dir=tmp_path / "s", progress=False)
+        for pair in pairs:
+            assert parallel.result(*pair) == serial.result(*pair)
 
 
 class TestRunnerEquivalence:

@@ -106,6 +106,25 @@ class TestVerifyCommand:
         assert run_cli("verify", str(run_dir)) == 4
         assert "metrics report" in capsys.readouterr().out
 
+    def test_kernel_counts_must_cover_completed_units(self, tmp_path, capsys):
+        _, run_dir = simulate_run(tmp_path, "kernels",
+                                  benchmarks=("perl", "ixx"))
+        metrics_path = run_dir / "metrics.json"
+        metrics = json.loads(metrics_path.read_text())
+        assert sum(metrics["kernels"].values()) \
+            == metrics["units"]["completed"] == 2
+        assert run_cli("verify", str(run_dir)) == 0
+        assert "[ok ] kernels:" in capsys.readouterr().out
+        # One of the two completed units ran on no kernel.
+        metrics["kernels"] = {"event": 1}
+        metrics["kernel_fallbacks"] = {}
+        metrics_path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+        write_manifest(run_dir,
+                       {"journal": run_dir / "results.jsonl",
+                        "metrics": metrics_path})
+        assert run_cli("verify", str(run_dir)) == 4
+        assert "[FAIL] kernels:" in capsys.readouterr().out
+
     def test_against_baseline_bit_identity(self, tmp_path, capsys):
         _, baseline = simulate_run(tmp_path, "serial")
         _, parallel = simulate_run(tmp_path, "parallel", "--workers", "2",

@@ -55,6 +55,7 @@ TRACKED = {
     "BENCH_kernel.json": [
         ("figures.fig16.speedup", "higher"),
         ("figures.fig18_table6.speedup", "higher"),
+        ("figures.fig11.speedup", "higher"),
     ],
     "BENCH_parallel_sweep.json": [
         ("serial.wall_time_s", "lower"),
