@@ -35,7 +35,8 @@ Each argument is dispatched on its embedded schema identifier:
 * ``repro-shard-snapshot/1`` — a shard recovery checkpoint (whole-payload
   CRC32, per-tenant digests re-derived from the stored chain link +
   counters, batch bounds and base64 stream columns consistent with the
-  counters and with the covered journal watermark);
+  counters and with the covered journal watermark, predictor state as
+  named base64 int64 columns of whole rows, no pickle);
 * ``repro-bench-recovery/1`` — a ``tools/bench_recovery.py`` artifact
   (per-size points with internally consistent speedups, headline
   matching the largest point).
@@ -46,6 +47,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import sys
 import zlib
@@ -513,9 +515,7 @@ def check_shard_snapshot(path: str) -> None:
             assert len(raw) // 4 == entry["events"], \
                 f"{where}: {column} holds {len(raw) // 4} events, " \
                 f"counters say {entry['events']}"
-        blob = entry.get("predictor")
-        assert blob is None or isinstance(blob, str), \
-            f"{where}: predictor blob"
+        check_predictor_state(entry.get("predictor"), data["spec"], where)
         total_batches += entry["seq"]
     assert total_batches == covered, \
         f"tenants hold {total_batches} batches, journal_records says " \
@@ -523,6 +523,60 @@ def check_shard_snapshot(path: str) -> None:
     print(f"{path}: valid {SHARD_SNAPSHOT_SCHEMA} "
           f"(shard {data['shard']}, {len(tenants)} tenants, "
           f"{covered} records covered, CRC + digests verified)")
+
+
+#: Row width of each predictor state column kind: ``table`` rows are
+#: (key, target, miss_bit, confidence), ``history`` and ``selector`` rows
+#: (id, value).
+STATE_ROW_WIDTHS = {"table": 4, "history": 2, "selector": 2}
+
+
+def state_columns(spec: str) -> set:
+    """The state column names a predictor of ``spec`` exports."""
+    family, _, body = spec.strip().lower().partition(":")
+    fields = dict(item.strip().partition("=")[::2]
+                  for item in body.split(",") if item.strip())
+    if family == "btb":
+        return {"table"}
+    if family == "twolevel":
+        return {"table", "history"}
+    assert family == "hybrid", f"unknown predictor family in {spec!r}"
+    count = sum(1 for key in fields if re.fullmatch(r"p\d+", key))
+    names = {f"c{index}.{kind}" for index in range(count)
+             for kind in ("table", "history")}
+    if fields.get("meta") == "bpst":
+        names.add("selector")
+    return names
+
+
+def check_predictor_state(state, spec: str, where: str) -> None:
+    """``None`` (parked tenant) or the spec's named base64 int64 columns.
+
+    Every column must hold whole rows of non-negative values, table miss
+    bits must be 0 or 1, and the names must be exactly the ones the
+    spec's predictor exports.  A string — a pickled predictor — is
+    refused: checkpoints carry no code-bearing blobs.
+    """
+    if state is None:
+        return
+    assert isinstance(state, dict), \
+        f"{where}: predictor state is not a column map"
+    assert set(state) == state_columns(spec), \
+        f"{where}: predictor state columns {sorted(state)} are not " \
+        f"{sorted(state_columns(spec))}"
+    for name, blob in state.items():
+        width = STATE_ROW_WIDTHS[name.rpartition(".")[2]]
+        assert isinstance(blob, str), f"{where}: column {name!r} not base64"
+        raw = base64.b64decode(blob.encode("ascii"), validate=True)
+        assert len(raw) % (8 * width) == 0, \
+            f"{where}: column {name!r} is {len(raw)} bytes, not whole " \
+            f"rows of {width} int64 values"
+        values = struct.unpack(f"<{len(raw) // 8}q", raw)
+        assert all(value >= 0 for value in values), \
+            f"{where}: column {name!r} holds a negative value"
+        if width == 4:
+            assert all(bit in (0, 1) for bit in values[2::4]), \
+                f"{where}: column {name!r} holds a miss bit not 0 or 1"
 
 
 def check_bench_recovery(path: str) -> None:

@@ -16,8 +16,9 @@ two-bit counters.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from .columns import Columns, expect_columns
 from .config import BTBConfig
 from .tables import BasePredictionTable, make_table
 
@@ -65,6 +66,19 @@ class BranchTargetBuffer:
         self._table.observer = observer
         if observer is not None and hasattr(observer, "table"):
             observer.table = self._table
+
+    def export_state(self) -> Columns:
+        """The table as named ``int64`` columns (see :mod:`repro.core.columns`)."""
+        return {"table": self._table.export_rows()}
+
+    def import_state(self, columns: Mapping[str, object]) -> None:
+        """Load :meth:`export_state` columns into this predictor.
+
+        Raises :class:`~repro.errors.StateError` on any bad shape,
+        leaving the predictor unchanged.
+        """
+        expect_columns(columns, ("table",))
+        self._table.import_rows(columns["table"])
 
     @property
     def table(self) -> BasePredictionTable:

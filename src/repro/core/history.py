@@ -16,10 +16,12 @@ low-order bits (see :mod:`repro.core.bits`).
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict
 
-from ..errors import ConfigError
+from ..errors import ConfigError, StateError
 from .bits import ADDRESS_BITS, DEFAULT_LOW_BIT, fold_xor, mask
+from .columns import pairs_of, to_column
 
 #: Pattern-compression scheme names (section 4.1).  ``select`` keeps address
 #: bits ``[a .. a+b-1]`` of each target (the winner); ``fold`` XOR-folds the
@@ -132,6 +134,42 @@ class HistoryRegisterFile:
         """Clear all history state (used between independent simulations)."""
         self._global_register = 0
         self._registers.clear()
+
+    # -- state columns -------------------------------------------------------
+
+    def export_rows(self) -> array:
+        """Registers as flat ``(register id, packed pattern)`` rows.
+
+        No rows without a path; a global register is the one row ``(0,
+        pattern)``; otherwise one row per register touched, in first-touch
+        order.
+        """
+        if self.path_length == 0:
+            rows = []
+        elif self._global:
+            rows = [(0, self._global_register)]
+        else:
+            rows = self._registers.items()
+        return to_column(rows, "history")
+
+    def import_rows(self, column: array) -> None:
+        """Replace every register with exported rows (see :meth:`export_rows`).
+
+        Raises :class:`~repro.errors.StateError` — leaving the registers
+        unchanged — on a bad row width, a pattern wider than ``p * b``
+        bits, a repeated id, or rows the sharing mode cannot hold.
+        """
+        registers = pairs_of(column, "history", self._pattern_mask)
+        if self.path_length == 0:
+            if registers:
+                raise StateError("a path length of 0 keeps no history rows")
+        elif self._global:
+            if set(registers) != {0}:
+                raise StateError("a global history register is the one "
+                                 "row with id 0")
+            self._global_register = registers[0]
+        else:
+            self._registers = registers
 
     @property
     def register_count(self) -> int:

@@ -14,8 +14,9 @@ reaches 8.98% average misprediction vs 9.82% for the best non-hybrid.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
+from .columns import Columns, expect_columns
 from .config import HybridConfig
 from .metapredictors import BPSTMetapredictor, ConfidenceMetapredictor
 from .twolevel import TwoLevelPredictor
@@ -156,6 +157,44 @@ class HybridPredictor:
             first.history.record(pc, target)
             second.history.record(pc, target)
         return misses
+
+    # -- state columns ------------------------------------------------------
+
+    def export_state(self) -> Columns:
+        """Every component's columns, prefixed ``c<i>.``, plus the selector.
+
+        See :mod:`repro.core.columns` for the row layouts; the
+        confidence metapredictor keeps no state of its own (its counters
+        live in the table rows).
+        """
+        columns = {}
+        for index, component in enumerate(self.components):
+            for name, column in component.export_state().items():
+                columns[f"c{index}.{name}"] = column
+        if self._bpst is not None:
+            columns["selector"] = self._bpst.export_rows()
+        return columns
+
+    def import_state(self, columns: Mapping[str, object]) -> None:
+        """Load :meth:`export_state` columns into this predictor.
+
+        Raises :class:`~repro.errors.StateError` on any bad shape,
+        leaving the predictor unchanged: the columns load into fresh
+        components and selector, which replace the live ones only once
+        every column has passed.
+        """
+        names = [f"c{index}.{kind}" for index in range(len(self.components))
+                 for kind in ("table", "history")]
+        if self._bpst is not None:
+            names.append("selector")
+        expect_columns(columns, names)
+        fresh = HybridPredictor(self.config)
+        for index, component in enumerate(fresh.components):
+            component.table.import_rows(columns[f"c{index}.table"])
+            component.history.import_rows(columns[f"c{index}.history"])
+        if fresh._bpst is not None:
+            fresh._bpst.import_rows(columns["selector"])
+        self.components, self._bpst = fresh.components, fresh._bpst
 
     def reset(self) -> None:
         for component in self.components:

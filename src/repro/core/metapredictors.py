@@ -16,9 +16,11 @@ Two mechanisms are modelled:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Optional, Sequence
 
-from ..errors import ConfigError
+from ..errors import ConfigError, StateError
+from .columns import pairs_of, to_column
 from .tables import Entry
 
 
@@ -89,6 +91,24 @@ class BPSTMetapredictor:
 
     def reset(self) -> None:
         self._counters.clear()
+
+    def export_rows(self) -> array:
+        """Counters as flat ``(slot, counter)`` rows, in first-touch order."""
+        return to_column(self._counters.items(), "selector")
+
+    def import_rows(self, column: array) -> None:
+        """Replace every counter with exported rows (see :meth:`export_rows`).
+
+        Raises :class:`~repro.errors.StateError` — leaving the selector
+        unchanged — on a bad row width, a repeated slot, a slot outside a
+        sized selector, or a counter above ``2**bits - 1``.
+        """
+        counters = pairs_of(column, "selector", self.maximum)
+        if self.num_entries is not None \
+                and max(counters, default=0) >= self.num_entries:
+            raise StateError(f"a selector slot is outside the "
+                             f"{self.num_entries}-entry selector")
+        self._counters = counters
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         size = "inf" if self.num_entries is None else str(self.num_entries)

@@ -41,14 +41,19 @@ makes replacement activity visible without touching the lookup path.  The
 default ``observer`` is ``None`` and the extra checks sit only on commit's
 write/eviction branches, so the fast simulation paths are unaffected when
 attribution is off.
+
+``export_rows()`` / ``import_rows(column)`` move a table's entries in and
+out as the ``table`` column of :mod:`repro.core.columns`.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, StateError
+from .columns import rows_of, to_column
 
 #: Update-rule names. ``"2bc"`` replaces a stored target only after two
 #: consecutive mispredictions; ``"always"`` replaces it immediately.
@@ -116,6 +121,52 @@ class BasePredictionTable:
     def __len__(self) -> int:
         raise NotImplementedError
 
+    # -- state columns -----------------------------------------------------
+
+    def export_rows(self) -> array:
+        """Entries as flat ``(key, target, miss_bit, confidence)`` rows.
+
+        LRU order, oldest first: importing the rows rebuilds the same
+        replacement order.
+        """
+        return to_column(
+            ((key, entry.target, entry.miss_bit, entry.confidence)
+             for key, entry in self._items()), "table")
+
+    def import_rows(self, column: array) -> None:
+        """Replace every entry with exported rows (see :meth:`export_rows`).
+
+        Raises :class:`~repro.errors.StateError` — leaving the table
+        unchanged — on a bad row width, flag or counter value, a
+        duplicate key, or more rows than the organisation can hold.
+        """
+        rows = rows_of(column, "table")
+        if max(column[2::4], default=0) > 1:
+            raise StateError("a table row's miss bit is not 0 or 1")
+        if max(column[3::4], default=0) > self.confidence_max:
+            raise StateError(f"a table row's confidence exceeds "
+                             f"{self.confidence_max}")
+        entries = []
+        for key, target, miss_bit, confidence in rows:
+            entry = Entry(target)
+            entry.miss_bit = miss_bit
+            entry.confidence = confidence
+            entries.append((key, entry))
+        self._load(entries)
+
+    def _items(self) -> Iterable[Tuple[int, Entry]]:
+        raise NotImplementedError
+
+    def _load(self, entries: List[Tuple[int, Entry]]) -> None:
+        raise NotImplementedError
+
+    @staticmethod
+    def _unique(entries: List[Tuple[int, Entry]]) -> Dict[int, Entry]:
+        loaded = dict(entries)
+        if len(loaded) != len(entries):
+            raise StateError("table rows repeat a key")
+        return loaded
+
     # -- shared helpers ----------------------------------------------------
 
     def _apply_update(self, entry: Entry, actual_target: int) -> bool:
@@ -168,6 +219,12 @@ class UnconstrainedTable(BasePredictionTable):
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _items(self) -> Iterable[Tuple[int, Entry]]:
+        return self._entries.items()
+
+    def _load(self, entries: List[Tuple[int, Entry]]) -> None:
+        self._entries = self._unique(entries)
+
 
 class FullyAssociativeTable(BasePredictionTable):
     """Limited-size fully-associative table with LRU replacement (§5.1)."""
@@ -206,6 +263,15 @@ class FullyAssociativeTable(BasePredictionTable):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _items(self) -> Iterable[Tuple[int, Entry]]:
+        return self._entries.items()
+
+    def _load(self, entries: List[Tuple[int, Entry]]) -> None:
+        if len(entries) > self.num_entries:
+            raise StateError(f"{len(entries)} table rows exceed the "
+                             f"{self.num_entries}-entry capacity")
+        self._entries = OrderedDict(self._unique(entries))
 
 
 class SetAssociativeTable(BasePredictionTable):
@@ -282,6 +348,30 @@ class SetAssociativeTable(BasePredictionTable):
         """Fraction of entry slots in use (paper quotes this for §5.2.1)."""
         return len(self) / self.num_entries
 
+    def _items(self) -> Iterator[Tuple[int, Entry]]:
+        index_bits = self.index_bits
+        for index, ways in enumerate(self._sets):
+            if ways is not None:
+                for tag, entry in ways.items():
+                    yield (tag << index_bits) | index, entry
+
+    def _load(self, entries: List[Tuple[int, Entry]]) -> None:
+        sets: List[Optional[Dict[int, Entry]]] = [None] * self.num_sets
+        index_bits, index_mask = self.index_bits, self._index_mask
+        for key, entry in entries:
+            index = key & index_mask
+            ways = sets[index]
+            if ways is None:
+                ways = sets[index] = {}
+            elif len(ways) >= self.associativity:
+                raise StateError(f"set {index} holds more than "
+                                 f"{self.associativity} ways")
+            tag = key >> index_bits
+            if tag in ways:
+                raise StateError("table rows repeat a key")
+            ways[tag] = entry
+        self._sets = sets
+
 
 class TaglessTable(BasePredictionTable):
     """Direct-mapped table without tags (§5.2.2).
@@ -329,6 +419,20 @@ class TaglessTable(BasePredictionTable):
 
     def utilization(self) -> float:
         return len(self) / self.num_entries
+
+    def _items(self) -> Iterator[Tuple[int, Entry]]:
+        for index, entry in enumerate(self._entries):
+            if entry is not None:
+                yield index, entry
+
+    def _load(self, entries: List[Tuple[int, Entry]]) -> None:
+        slots: List[Optional[Entry]] = [None] * self.num_entries
+        for slot, entry in self._unique(entries).items():
+            if slot >= self.num_entries:
+                raise StateError(f"tagless slot {slot} is outside the "
+                                 f"{self.num_entries}-entry table")
+            slots[slot] = entry
+        self._entries = slots
 
 
 def make_table(

@@ -19,8 +19,9 @@ one class, produced via :class:`repro.core.config.TwoLevelConfig`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from .columns import Columns, expect_columns
 from .config import TwoLevelConfig
 from .history import HistoryRegisterFile
 from .keys import KeyBuilder
@@ -94,6 +95,30 @@ class TwoLevelPredictor:
             commit(key, target)
             record(pc, target)
         return misses
+
+    # -- state columns ------------------------------------------------------
+
+    def export_state(self) -> Columns:
+        """Table + history registers as named ``int64`` columns.
+
+        See :mod:`repro.core.columns` for the row layouts.
+        """
+        return {"table": self.table.export_rows(),
+                "history": self.history.export_rows()}
+
+    def import_state(self, columns: Mapping[str, object]) -> None:
+        """Load :meth:`export_state` columns into this predictor.
+
+        Raises :class:`~repro.errors.StateError` on any bad shape,
+        leaving the predictor unchanged: both columns load into a fresh
+        table and register file, which replace the live ones only once
+        both have passed.
+        """
+        expect_columns(columns, ("table", "history"))
+        fresh = TwoLevelPredictor(self.config)
+        fresh.table.import_rows(columns["table"])
+        fresh.history.import_rows(columns["history"])
+        self.table, self.history = fresh.table, fresh.history
 
     def reset(self) -> None:
         # Preserve any attribution observer across the rebuild — the

@@ -71,6 +71,14 @@ class IngestError(ReproError, ValueError):
         self.byte_offset: int = 0
 
 
+class StateError(ReproError, ValueError):
+    """Predictor state columns that do not fit the predictor importing them.
+
+    Also raised by ``export_state()`` when a value does not fit in an
+    ``int64`` column (keys of full-precision concatenated patterns).
+    """
+
+
 class SimulationError(ReproError, RuntimeError):
     """A failure during trace-driven simulation."""
 

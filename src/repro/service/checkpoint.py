@@ -10,19 +10,23 @@ answer for its history without the journal prefix it covers:
 * per tenant — the serialized :class:`~repro.service.state.TenantMeta`
   (counters, digest-chain link, batch bounds), the full accepted stream
   columns (base64 of little-endian ``uint32``), and — for tenants that
-  were resident at checkpoint time — a pickled predictor so recovery
-  restarts warm without replaying the stream.
+  were resident at checkpoint time — the predictor's exported state
+  (``predictor``: named base64 ``int64`` columns, see
+  :mod:`repro.core.columns`) so recovery restarts warm without replaying
+  the stream.
 * ``crc32`` — whole-payload CRC over the canonical JSON with the crc
   field removed.  Validation additionally re-derives every tenant's
   digest from its chain link + counters and cross-checks stream lengths
   against the counters, so a checkpoint cannot *pass* validation and
   still disagree with itself.
 
-Validation never unpickles: the predictor blob is opaque to ``repro
-verify`` and ``check_metrics_schema.py`` (both validate structure, CRC
-and digest math only).  Only :class:`~repro.service.shard.ShardCore`
-unpickles predictors, and only from its own run directory; an unloadable
-blob silently demotes the tenant to a cold (replay-on-touch) adopt.
+Nothing in a checkpoint can run code: the predictor state is integers
+only, and importing it checks every shape against the shard's spec.
+Validation checks the columns' names and row widths; only
+:class:`~repro.service.shard.ShardCore` imports them, and state that
+does not fit demotes the tenant to a cold (replay-on-touch) adopt.  So
+does a pickled predictor blob left by an older writer: it is accepted
+by validation but never loaded.
 
 File discipline is write-temp-then-``os.replace`` with fsync, the same
 as :class:`~repro.runtime.cache.TraceCache`; a checkpoint that fails
@@ -36,13 +40,14 @@ import base64
 import binascii
 import json
 import os
-import pickle
 import zlib
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ServiceError
+from ..core.columns import decode_columns, encode_columns
+from ..core.factory import predictor_from_spec
+from ..errors import ServiceError, StateError
 from .state import PathLike, TenantMeta, valid_tenant
 
 #: JSON schema identifier of a shard recovery checkpoint.
@@ -98,8 +103,9 @@ def build_checkpoint(
     """Assemble a checkpoint payload (not yet written anywhere).
 
     ``tenants`` maps each tenant to ``(meta, pcs, targets, predictor)``
-    where ``predictor`` is the live instance to pickle, or ``None`` for
-    a tenant whose predictor is parked (it will be adopted cold).
+    where ``predictor`` is the live instance whose state to export, or
+    ``None`` for a tenant whose predictor is parked (it will be adopted
+    cold, as is one whose state does not fit ``int64`` columns).
     """
     entries: Dict[str, dict] = {}
     for tenant in sorted(tenants):
@@ -107,14 +113,13 @@ def build_checkpoint(
         entry = meta.to_snapshot()
         entry["pcs"] = _encode_columns(pcs)
         entry["targets"] = _encode_columns(targets)
-        blob = None
+        state = None
         if predictor is not None:
             try:
-                blob = base64.b64encode(
-                    pickle.dumps(predictor, protocol=4)).decode("ascii")
-            except Exception:  # unpicklable predictor: adopt cold instead
-                blob = None
-        entry["predictor"] = blob
+                state = encode_columns(predictor.export_state())
+            except StateError:
+                pass  # keys wider than int64: adopted cold on recovery
+        entry["predictor"] = state
         entries[tenant] = entry
     payload = {
         "schema": SNAPSHOT_SCHEMA,
@@ -134,8 +139,9 @@ def validate_checkpoint(payload: object, origin: str = "checkpoint",
 
     Returns ``{"payload", "metas": {tenant: TenantMeta}, "streams":
     {tenant: (pcs, targets)}}`` on success; raises
-    :class:`~repro.errors.ServiceError` on *any* inconsistency.  Does
-    not unpickle predictor blobs.
+    :class:`~repro.errors.ServiceError` on *any* inconsistency.
+    Predictor state must be ``None``, well-formed named columns, or an
+    older writer's pickle blob (a string, never loaded).
     """
     if not isinstance(payload, dict):
         raise ServiceError(f"{origin}: checkpoint is not an object")
@@ -176,9 +182,12 @@ def validate_checkpoint(payload: object, origin: str = "checkpoint",
             raise ServiceError(
                 f"{where}: stream columns hold {len(pcs)}/{len(targets)} "
                 f"events; counters say {meta.events}")
-        blob = entry.get("predictor")
-        if blob is not None and not isinstance(blob, str):
-            raise ServiceError(f"{where}: predictor blob is not a string")
+        state = entry.get("predictor")
+        if state is not None and not isinstance(state, str):
+            try:
+                decode_columns(state)
+            except StateError as exc:
+                raise ServiceError(f"{where}: predictor state ({exc})")
         metas[tenant] = meta
         streams[tenant] = (pcs, targets)
         total_batches += meta.seq
@@ -219,39 +228,47 @@ def quarantine_checkpoint(path: PathLike, reason: str) -> Path:
     return target
 
 
-def restore_predictor(entry: dict) -> Optional[object]:
-    """Unpickle a tenant's predictor blob; ``None`` when absent/unloadable.
+def restore_predictor(entry: dict, spec: str) -> Optional[object]:
+    """A ``spec`` predictor loaded from a tenant's exported state.
 
-    Only the owning shard calls this, on a checkpoint it (or its
-    predecessor) wrote into its own run directory and that already
-    passed CRC + digest validation.
+    ``None`` — the tenant is then adopted cold and rebuilt by replay —
+    when the entry has no state, holds an older writer's pickle blob
+    (never loaded), or its columns do not fit the spec.
     """
-    blob = entry.get("predictor")
-    if blob is None:
+    state = entry.get("predictor")
+    if not isinstance(state, dict):
         return None
+    predictor = predictor_from_spec(spec)
     try:
-        return pickle.loads(base64.b64decode(blob.encode("ascii")))
-    except Exception:
+        predictor.import_state(decode_columns(state))
+    except StateError:
         return None
+    return predictor
 
 
-def read_tenant_stream(path: PathLike,
-                       tenant: str) -> Tuple[List[int], List[int]]:
-    """One tenant's stream columns from an already-validated checkpoint.
+def read_tenant_streams(
+        path: PathLike, tenants: Collection[str],
+) -> Dict[str, Tuple[List[int], List[int]]]:
+    """Stream columns of ``tenants`` from an already-validated checkpoint.
 
-    Used by the shard's reload fallback: the file passed full validation
-    at recovery (or was just written by this process), and the reload
-    audit re-checks event/miss counts after replay, so a light parse is
-    safe here and keeps reloads O(file) instead of O(file · validation).
-    Unknown tenants yield empty columns.
+    One parse of the file, however many tenants are asked for.  Used by
+    the shard's reload fallback and compaction: the file passed full
+    validation at recovery (or was just written by this process), and a
+    replayed reload re-checks event/miss counts, so a light parse is safe
+    here.  Tenants the checkpoint does not hold yield empty columns.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    entry = payload.get("tenants", {}).get(tenant)
-    if entry is None:
-        return [], []
-    where = f"{path}: tenant {tenant!r}"
-    return (list(_decode_columns(entry["pcs"], where)),
-            list(_decode_columns(entry["targets"], where)))
+    entries = payload.get("tenants", {})
+    streams: Dict[str, Tuple[List[int], List[int]]] = {}
+    for tenant in tenants:
+        entry = entries.get(tenant)
+        if entry is None:
+            streams[tenant] = ([], [])
+            continue
+        where = f"{path}: tenant {tenant!r}"
+        streams[tenant] = (list(_decode_columns(entry["pcs"], where)),
+                           list(_decode_columns(entry["targets"], where)))
+    return streams
 
 
 def base_records(payload: dict) -> List[dict]:

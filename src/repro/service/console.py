@@ -77,7 +77,7 @@ def shard_rows(stats: dict, rates: Optional[Dict[int, float]] = None,
     for payload in stats.get("shards", []):
         shard_id = payload.get("shard")
         if not payload.get("available"):
-            rows.append([shard_id, "down", "-", "-", "-", "-", "-", "-", "-"])
+            rows.append([shard_id, "down"] + ["-"] * 8)
             continue
         snapshot = payload.get("metrics", {})
         p50, p99, _ = _hist_quantiles(snapshot, "shard.batch_seconds")
@@ -91,13 +91,14 @@ def shard_rows(stats: dict, rates: Optional[Dict[int, float]] = None,
             shard_id, state, payload.get("queue_depth", 0),
             payload.get("batches", 0), rate,
             f"{payload.get('resident', 0)}/{payload.get('tenants', 0)}",
-            payload.get("evictions", 0), p50, p99,
+            payload.get("evictions", 0), payload.get("reload_replays", 0),
+            p50, p99,
         ])
     return rows
 
 
 _SHARD_HEADERS = ["shard", "state", "queue", "batches", "ev/s",
-                  "res/ten", "evict", "p50 ms", "p99 ms"]
+                  "res/ten", "evict", "replays", "p50 ms", "p99 ms"]
 
 
 def render_stats(stats: dict) -> str:

@@ -45,7 +45,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.factory import predictor_from_spec
 from ..errors import ReproError, ServiceError
@@ -57,7 +57,7 @@ from ..runtime.telemetry import Tracer
 from ..sim.engine import resolve_kernel
 from .checkpoint import (
     build_checkpoint, checkpoint_path, load_checkpoint,
-    prev_checkpoint_path, quarantine_checkpoint, read_tenant_stream,
+    prev_checkpoint_path, quarantine_checkpoint, read_tenant_streams,
     restore_predictor,
 )
 from .state import (
@@ -151,7 +151,9 @@ class ShardCore:
         self._base_is_prev = False
         self._batches_since_checkpoint = 0
         self.recovery = self._recover()
-        self._synced = {"evictions": 0, "reloads": 0}
+        self._synced = {"evictions": 0, "reloads": 0, "reload_replays": 0}
+        # Present from the start, so a run with no replayed reload says 0.
+        self.metrics.counter("shard.reload_replays")
         self._sync_metrics()
 
     # -- recovery ------------------------------------------------------------
@@ -218,7 +220,8 @@ class ShardCore:
         if loaded is not None:
             payload = loaded["payload"]
             for tenant, meta in loaded["metas"].items():
-                predictor = restore_predictor(payload["tenants"][tenant])
+                predictor = restore_predictor(payload["tenants"][tenant],
+                                              self.spec)
                 state = None
                 if predictor is not None:
                     pcs, targets = loaded["streams"][tenant]
@@ -295,28 +298,42 @@ class ShardCore:
         """A tenant's full accepted stream: checkpoint base + journal tail.
 
         The reload fallback :class:`~repro.service.state.TenantStore`
-        uses when the trace cache cannot serve a parked stream.  Without
-        a checkpoint this is exactly the journal scan it always was.
+        uses when the trace cache cannot serve a parked stream.
         """
-        if self._base_path is None:
-            return self.journal.stream_for(tenant)
-        pcs, targets = read_tenant_stream(self._base_path, tenant)
+        return self._streams([tenant])[tenant]
+
+    def _streams(self, tenants: Sequence[str]
+                 ) -> Dict[str, Tuple[List[int], List[int]]]:
+        """Full accepted streams of ``tenants``: one base checkpoint parse
+        plus one pass over the live journal records after it.
+
+        Without a checkpoint the journal records are the whole history.
+        """
+        if self._base_path is None or not tenants:
+            streams = {tenant: ([], []) for tenant in tenants}
+        else:
+            streams = read_tenant_streams(self._base_path, tenants)
         skip = self._base_covered - self.journal.base
         for record in self.journal.records[skip:]:
-            if record["tenant"] == tenant:
-                pcs.extend(record["pcs"])
-                targets.extend(record["targets"])
-        return pcs, targets
+            stream = streams.get(record["tenant"])
+            if stream is not None:
+                stream[0].extend(record["pcs"])
+                stream[1].extend(record["targets"])
+        return streams
 
     # -- checkpoint + compaction ---------------------------------------------
 
     def _checkpoint_tenants(self) -> Dict[str, tuple]:
         """Assemble ``tenant -> (meta, pcs, targets, predictor)`` to freeze.
 
-        Resident tenants contribute their live predictor (pickled into
-        the checkpoint so recovery restarts warm); parked tenants
-        contribute stream columns only and are adopted cold.
+        Resident tenants contribute their live predictor (its state is
+        exported into the checkpoint so recovery restarts warm); parked
+        tenants contribute stream columns only — all read with one parse
+        of the base checkpoint — and are adopted cold.
         """
+        parked = [tenant for tenant in self.store.meta
+                  if self.store.resident_state(tenant) is None]
+        streams = self._streams(parked)
         frozen: Dict[str, tuple] = {}
         for tenant, meta in self.store.meta.items():
             state = self.store.resident_state(tenant)
@@ -324,8 +341,7 @@ class ShardCore:
                 frozen[tenant] = (meta, state.pcs, state.targets,
                                   state.predictor)
             else:
-                pcs, targets = self.stream_for(tenant)
-                frozen[tenant] = (meta, pcs, targets, None)
+                frozen[tenant] = (meta, *streams[tenant], None)
         return frozen
 
     def compact(self, crash_after_step: Optional[int] = None) -> dict:
@@ -477,7 +493,7 @@ class ShardCore:
         advance by the delta since the last sync so they stay monotonic.
         Tenant/residency levels are gauges (merge = fleet-wide sum).
         """
-        for name in ("evictions", "reloads"):
+        for name in self._synced:
             total = getattr(self.store, name)
             delta = total - self._synced[name]
             if delta > 0:
@@ -499,6 +515,7 @@ class ShardCore:
             "resident": self.store.resident_count,
             "evictions": self.store.evictions,
             "reloads": self.store.reloads,
+            "reload_replays": self.store.reload_replays,
             "journal_disabled": self.journal.disabled,
             "metrics": self.metrics.snapshot(),
         }

@@ -29,7 +29,13 @@ stream.  Everything here exploits that.
 * :class:`TenantStore` — bounded residency: at most ``max_resident``
   tenants keep live predictors; the least recently used is parked in the
   run's :class:`~repro.runtime.cache.TraceCache` as an ordinary trace
-  and rebuilt — by replay, hence bit-identically — on its next batch.
+  whose CRC'd metadata also carries the predictor's exported table state
+  (:mod:`repro.core.columns`), bound to the tenant's ``(events, misses,
+  digest)``.  Its next batch reloads it by *importing* that state —
+  O(table size), not O(history).  When the binding does not match the
+  live counters, or there is no usable state (a corrupt file, a tenant
+  adopted cold after a crash, the journal fallback), the tenant is
+  rebuilt by replay instead, audited against its counters.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from typing import (
     Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
+from ..core.columns import Columns, decode_columns, encode_columns
 from ..core.factory import predictor_from_spec
-from ..errors import ServiceError
+from ..errors import ServiceError, StateError
 from ..runtime.cache import TraceCache
 from ..runtime.chaos import active as active_chaos
 from ..runtime.records import (
@@ -230,7 +237,7 @@ class TenantState:
     @classmethod
     def restore(cls, predictor, pcs: Sequence[int],
                 targets: Sequence[int]) -> "TenantState":
-        """Adopt an already-warm predictor (a checkpoint's unpickled one)."""
+        """Adopt an already-warm predictor (one loaded from checkpoint columns)."""
         state = cls.__new__(cls)
         state.predictor = predictor
         state.pcs = _widened(pcs)
@@ -268,19 +275,25 @@ class TenantState:
         self.targets.extend(targets)
         return misses, predictions
 
-    def rebuild(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
-        """Replay a full accepted stream into this (fresh) state.
+    def rebuild(self, pcs: Sequence[int], targets: Sequence[int],
+                columns: Optional[Columns] = None) -> Optional[int]:
+        """Bring this fresh state up to a tenant's full accepted stream.
 
-        Returns the replayed misprediction count so the caller can check
-        it against the tenant's running counters — a cheap, continuous
-        determinism audit on every reload.
+        With ``columns`` — the predictor state exported when exactly this
+        stream was parked — the predictor imports them: O(table size),
+        no event is re-run, and the result is ``None``.  Raises
+        :class:`~repro.errors.StateError` if they do not fit.
+
+        Without, the stream is replayed and the replayed misprediction
+        count returned, so the caller can check it against the tenant's
+        running counters — a cheap, continuous determinism audit on
+        every replayed reload.
         """
-        run = getattr(self.predictor, "run_trace", None)
-        if run is not None:
-            misses = run(pcs, targets)
-        else:  # pragma: no cover - built-in predictors define run_trace
-            misses, _ = self.apply(pcs, targets)
-            return misses
+        misses = None
+        if columns is not None:
+            self.predictor.import_state(columns)
+        else:
+            misses = self.predictor.run_trace(pcs, targets)
         self.pcs.extend(pcs)
         self.targets.extend(targets)
         return misses
@@ -380,28 +393,6 @@ class ShardJournal:
             self.disabled = True
             return False
 
-    def stream_for(self, tenant: str) -> Tuple[List[int], List[int]]:
-        """The tenant's full accepted stream, re-read from this journal.
-
-        The cache-miss fallback for reloading an evicted tenant: scans
-        the on-disk journal (safe to read while open for append).  Only
-        valid while ``base`` is 0 — once records have been compacted
-        away, the full stream lives in (checkpoint + tail) and
-        :meth:`repro.service.shard.ShardCore.stream_for` must be used.
-        """
-        if self.base:
-            raise ServiceError(
-                f"{self.path}: {self.base} records compacted away; the "
-                f"journal alone no longer holds full tenant streams"
-            )
-        pcs: List[int] = []
-        targets: List[int] = []
-        for record in _read_journal(self.path).records:
-            if record.get("tenant") == tenant:
-                pcs.extend(record["pcs"])
-                targets.extend(record["targets"])
-        return pcs, targets
-
     # -- compaction primitives ----------------------------------------------
 
     def write_segment(self, path: PathLike, base: int) -> None:
@@ -477,11 +468,12 @@ class TenantStore:
 
     Args:
         spec: predictor spec every tenant's instance is built from.
-        cache: trace cache the evicted streams are parked in.
+        cache: trace cache evicted tenants are parked in (stream +
+            exported predictor state).
         max_resident: live-predictor budget (LRU beyond it).
         journal_stream: fallback loader (``tenant -> (pcs, targets)``)
             used when the cache cannot serve a parked stream — normally
-            :meth:`ShardJournal.stream_for`.
+            :meth:`repro.service.shard.ShardCore.stream_for`.
         tracer: telemetry for evict/reload events.
     """
 
@@ -504,8 +496,12 @@ class TenantStore:
         self.tracer = tracer
         self.meta: Dict[str, TenantMeta] = {}
         self._resident: "OrderedDict[str, TenantState]" = OrderedDict()
+        #: tenants adopted cold by recovery; their next reload replays.
+        self._cold: set = set()
         self.evictions = 0
         self.reloads = 0
+        #: reloads that replayed the stream instead of importing state.
+        self.reload_replays = 0
 
     def _cache_key(self, tenant: str) -> str:
         return f"tenant-{tenant}"
@@ -558,10 +554,14 @@ class TenantStore:
         ``state`` (a warm predictor + stream) makes the tenant resident
         immediately; without it the tenant is adopted *cold* — counters
         and digest chain only — and its predictor is rebuilt by replay on
-        its next batch, exactly like a post-eviction reload.
+        its next batch, which audits the recovered counters.  State parked
+        before the crash is not imported for it, even when its binding
+        matches.
         """
         self.meta[tenant] = meta
-        if state is not None:
+        if state is None:
+            self._cold.add(tenant)
+        else:
             while len(self._resident) >= self.max_resident:
                 self.evict(next(iter(self._resident)))
             self._resident[tenant] = state
@@ -584,6 +584,8 @@ class TenantStore:
         meta = self.meta.get(tenant)
         if meta is None or meta.events == 0:
             return state  # brand-new tenant: nothing to replay
+        cold = tenant in self._cold
+        self._cold.discard(tenant)
         trace = self.cache.load(self._cache_key(tenant))
         if trace is not None and len(trace.pcs) < meta.events:
             # A parked stream from before a crash the checkpoint already
@@ -591,13 +593,16 @@ class TenantStore:
             # stale, not divergent.  Fall through to the authoritative
             # (checkpoint + journal) stream instead of dying on it.
             trace = None
+        columns = None
         if trace is not None:
             pcs: Sequence[int] = trace.pcs
             targets: Sequence[int] = trace.targets
-            source = "cache"
+            stream = "cache"
+            if not cold:
+                columns = _parked_columns(trace, meta)
         elif self.journal_stream is not None:
             pcs, targets = self.journal_stream(tenant)
-            source = "journal"
+            stream = "journal"
         else:
             raise ServiceError(
                 f"tenant {tenant!r} has {meta.events} accepted events but "
@@ -611,29 +616,54 @@ class TenantStore:
             # ``meta.events`` events of that append-only prefix.
             pcs = pcs[:meta.events]
             targets = targets[:meta.events]
-        misses = state.rebuild(pcs, targets)
-        if len(pcs) != meta.events or misses != meta.misses:
-            raise ServiceError(
-                f"tenant {tenant!r} rebuilt to {misses} misses over "
-                f"{len(pcs)} events; counters say {meta.misses} over "
-                f"{meta.events} (state divergence)"
-            ).with_context(tenant=tenant, source=source)
+        source = "state"
+        if columns is not None:
+            try:
+                state.rebuild(pcs, targets, columns)
+            except StateError:
+                columns = None  # the binding matched but the shape did not
+        if columns is None:
+            source = "replay"
+            misses = state.rebuild(pcs, targets)
+            if len(pcs) != meta.events or misses != meta.misses:
+                raise ServiceError(
+                    f"tenant {tenant!r} rebuilt to {misses} misses over "
+                    f"{len(pcs)} events; counters say {meta.misses} over "
+                    f"{meta.events} (state divergence)"
+                ).with_context(tenant=tenant, stream=stream)
+            self.reload_replays += 1
         self.reloads += 1
         self.tracer.event("tenant_reload", tenant=tenant, source=source,
-                          events=meta.events)
+                          stream=stream, events=meta.events)
         return state
 
     def evict(self, tenant: str) -> bool:
-        """Park ``tenant``'s stream in the cache and drop its predictor.
+        """Park ``tenant`` in the cache and drop its predictor.
 
-        The running hash and counters stay in :attr:`meta`; the predictor
-        is rebuilt by replay on the tenant's next batch.  ``False`` when
-        the tenant was not resident.
+        The parked trace holds the accepted stream and, in its metadata,
+        the predictor's exported state bound to the tenant's ``(events,
+        misses, digest)`` — one file, one fsync.  The running hash and
+        counters stay in :attr:`meta`; the next batch imports the state
+        (or replays the stream when the state cannot be used).  A
+        predictor whose state does not fit ``int64`` columns parks its
+        stream only.  ``False`` when the tenant was not resident.
         """
         state = self._resident.pop(tenant, None)
         if state is None:
             return False
+        meta = self.meta.get(tenant)
         metadata = TraceMetadata(name=self._cache_key(tenant))
+        if meta is not None:
+            try:
+                metadata.extra["state"] = {
+                    "events": meta.events,
+                    "misses": meta.misses,
+                    "digest": meta.digest(),
+                    "columns": encode_columns(
+                        state.predictor.export_state()),
+                }
+            except StateError:
+                pass  # keys wider than int64: park the stream alone
         self.cache.store(self._cache_key(tenant),
                          Trace(state.pcs, state.targets, metadata))
         self.evictions += 1
@@ -646,3 +676,24 @@ class TenantStore:
         """Final counters + digest for every tenant ever seen."""
         return {tenant: meta.to_dict()
                 for tenant, meta in sorted(self.meta.items())}
+
+
+def _parked_columns(trace: Trace, meta: TenantMeta) -> Optional[Columns]:
+    """The state parked with ``trace``, if it is bound to exactly ``meta``.
+
+    ``None`` — replay — when the trace carries no state, when its
+    ``(events, misses, digest)`` binding differs from the live counters,
+    or when its columns do not decode.
+    """
+    parked = trace.metadata.extra.get("state")
+    if not isinstance(parked, dict):
+        return None
+    binding = (parked.get("events"), parked.get("misses"),
+               parked.get("digest"))
+    if binding != (meta.events, meta.misses, meta.digest()) \
+            or len(trace.pcs) != meta.events:
+        return None
+    try:
+        return decode_columns(parked.get("columns"))
+    except StateError:
+        return None

@@ -302,7 +302,7 @@ def canned_stats():
         "shards": [
             {"shard": 0, "available": True, "queue_depth": 1, "batches": 5,
              "tenants": 3, "resident": 2, "evictions": 1,
-             "metrics": shard_metrics.snapshot()},
+             "reload_replays": 1, "metrics": shard_metrics.snapshot()},
             {"shard": 1, "available": False},
         ],
     }
@@ -313,6 +313,14 @@ class TestConsole:
         rows = shard_rows(canned_stats())
         assert rows[0][1] == "up" and rows[1][1] == "down"
         assert rows[0][5] == "2/3"
+        assert len(rows[1]) == len(rows[0])
+
+    def test_shard_rows_count_replayed_reloads(self):
+        # A reload that fell back to replay instead of importing parked
+        # state must be visible, not silent.
+        rows = shard_rows(canned_stats())
+        assert rows[0][7] == 1
+        assert "replays" in render_stats(canned_stats())
 
     def test_shard_rates_render_when_known(self):
         rows = shard_rows(canned_stats(), rates={0: 1234.5})

@@ -6,7 +6,10 @@ fallback — a restarted shard's per-tenant digests are bit-identical to
 a never-crashed twin and to the offline replay oracle.
 """
 
+import base64
 import json
+import os
+import pickle
 import shutil
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from repro.service.checkpoint import (
     quarantine_checkpoint, validate_checkpoint,
 )
 from repro.service.replay import replay_records, replay_run
+from repro.service import shard as shard_module
 from repro.service.shard import COMPACTION_STEPS, ShardCore, journal_path
 from repro.workloads.program import WorkloadConfig, generate_trace
 
@@ -240,6 +244,126 @@ class TestSalvageLadder:
         assert counters["shard.tail_replayed"] > 0
         assert "shard.recovery_seconds" in snapshot["histograms"]
         revived.close()
+
+
+class _Booby:
+    """Unpickling this would create ``path``: proof a blob was loaded."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+class TestStateInCheckpoints:
+    def _checkpointed(self, run_dir, max_resident=8, tenants=("a", "b")):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        core = ShardCore(0, SPEC, run_dir, max_resident=max_resident,
+                         kernel="event")
+        drive(core, range(1, 3), tenants=tenants)
+        assert core.compact()["completed"]
+        return core
+
+    def test_resident_tenants_restart_warm_from_columns(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self._checkpointed(run_dir).close()
+        payload = json.loads(checkpoint_path(run_dir, 0).read_text())
+        for entry in payload["tenants"].values():
+            assert sorted(entry["predictor"]) == ["table"]
+        revived = ShardCore(0, SPEC, run_dir, kernel="event")
+        assert revived.store.resident_count == 2
+        drive(revived, range(3, 5))
+        assert revived.store.reloads == 0
+        assert revived.store.snapshot() == golden_snapshot(tmp_path,
+                                                           range(1, 5))
+        revived.close()
+
+    def test_pickled_predictor_blob_adopts_cold_and_replays(self, tmp_path):
+        # A checkpoint written before predictors were columns holds a
+        # pickle per resident tenant.  It still loads, but the blob is
+        # never unpickled: the tenant is adopted cold and replays.
+        run_dir = tmp_path / "run"
+        core = self._checkpointed(run_dir)
+        warm = core.store.resident_state("a").predictor
+        core.close()
+        marker = tmp_path / "unpickled"
+        path = checkpoint_path(run_dir, 0)
+        payload = json.loads(path.read_text())
+        for tenant, blob in (("a", warm), ("b", _Booby(marker))):
+            payload["tenants"][tenant]["predictor"] = base64.b64encode(
+                pickle.dumps(blob, protocol=4)).decode("ascii")
+        payload["crc32"] = payload_crc(payload)
+        path.write_text(json.dumps(payload))
+        revived = ShardCore(0, SPEC, run_dir, kernel="event")
+        assert revived.recovery["source"] == "checkpoint"
+        assert revived.store.resident_count == 0
+        drive(revived, range(3, 5))
+        assert not marker.exists()
+        assert revived.store.reload_replays == 2
+        assert revived.store.snapshot() == golden_snapshot(tmp_path,
+                                                           range(1, 5))
+        revived.close()
+
+    def test_malformed_predictor_columns_fail_validation(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self._checkpointed(run_dir).close()
+        payload = json.loads(checkpoint_path(run_dir, 0).read_text())
+        payload["tenants"]["a"]["predictor"] = {"table": "AAAAAAAAAAA="}
+        payload["crc32"] = payload_crc(payload)
+        with pytest.raises(ServiceError, match="predictor state"):
+            validate_checkpoint(payload)
+
+    def test_cold_adopted_tenant_replays_despite_matching_state(self,
+                                                                tmp_path):
+        run_dir = tmp_path / "run"
+        # a1 b1 a2 b2 with one resident slot: "a" is parked at the
+        # checkpoint, with state bound to exactly its checkpointed meta.
+        self._checkpointed(run_dir, max_resident=1).close()
+        revived = ShardCore(0, SPEC, run_dir, max_resident=1,
+                            kernel="event")
+        parked = revived.store.cache.load("tenant-a").metadata.extra["state"]
+        assert parked["digest"] == revived.store.meta["a"].digest()
+        drive(revived, [3])  # a3 reloads cold "a"; b3 reloads parked "b"
+        assert revived.store.reloads == 2
+        assert revived.store.reload_replays == 1
+        assert revived.store.snapshot() == golden_snapshot(tmp_path,
+                                                           range(1, 4))
+        revived.close()
+
+    def test_compaction_parses_the_base_checkpoint_once(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        real = shard_module.read_tenant_streams
+
+        def counting(path, tenants):
+            calls.append(sorted(tenants))
+            return real(path, tenants)
+
+        monkeypatch.setattr(shard_module, "read_tenant_streams", counting)
+        tenants = ("a", "b", "c", "d")
+        core = self._checkpointed(tmp_path / "run", max_resident=1,
+                                  tenants=tenants)
+        assert calls == []  # no base checkpoint yet: the journal is all
+        drive(core, [3], tenants=tenants)
+        assert core.compact()["completed"]
+        assert calls == [["a", "b", "c"]]  # "d" is resident
+        core.close()
+        revived = ShardCore(0, SPEC, tmp_path / "run", kernel="event")
+        assert revived.store.snapshot() == golden_snapshot(
+            tmp_path, range(1, 4), tenants=tenants)
+        revived.close()
+
+    def test_compaction_with_every_tenant_resident_reads_no_checkpoint(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shard_module, "read_tenant_streams",
+                            lambda *args: calls.append(args))
+        core = self._checkpointed(tmp_path / "run")
+        drive(core, [3])
+        assert core.compact()["completed"]
+        assert calls == []
+        core.close()
 
 
 class TestKernelIdentity:

@@ -1,9 +1,11 @@
 """Tests for tenant state, the shard journal, LRU residency, and replay."""
 
 import json
+from array import array
 
 import pytest
 
+from repro.core.columns import encode_columns
 from repro.errors import ServiceError
 from repro.service.replay import replay_records, replay_run, write_replay
 from repro.service.shard import ShardCore, journal_path
@@ -12,9 +14,11 @@ from repro.service.state import (
     valid_tenant,
 )
 from repro.runtime.cache import TraceCache
+from repro.workloads.io import load_trace, save_trace
 from repro.workloads.program import WorkloadConfig, generate_trace
 
 SPEC = "btb:entries=64,assoc=2"
+HYBRID = "hybrid:p1=3,p2=1,entries=128,assoc=4,meta=bpst"
 
 
 def batch(seed, events=40):
@@ -89,25 +93,11 @@ class TestShardJournal:
         with pytest.raises(ServiceError, match="belongs to shard"):
             ShardJournal(path, 0, "btb:entries=128,assoc=4")
 
-    def test_stream_for_concatenates_in_order(self, tmp_path):
-        journal = ShardJournal(tmp_path / "j.jsonl", 0, SPEC)
-        pcs1, tg1 = batch(1)
-        pcs2, tg2 = batch(2)
-        journal.append("t00", 1, pcs1, tg1)
-        journal.append("t01", 1, pcs2, tg2)  # interleaved other tenant
-        journal.append("t00", 2, pcs2, tg2)
-        pcs, targets = journal.stream_for("t00")
-        assert pcs == pcs1 + pcs2
-        assert targets == tg1 + tg2
-        journal.close()
-
 
 class TestTenantStore:
-    def _store(self, tmp_path, max_resident=2, journal=None):
+    def _store(self, tmp_path, max_resident=2):
         cache = TraceCache(tmp_path / "cache")
-        stream = journal.stream_for if journal else None
-        return TenantStore(SPEC, cache, max_resident=max_resident,
-                           journal_stream=stream)
+        return TenantStore(SPEC, cache, max_resident=max_resident)
 
     def test_eviction_then_reload_is_bit_identical(self, tmp_path):
         # The contract's heart: a tenant that was evicted and rebuilt
@@ -144,7 +134,131 @@ class TestTenantStore:
             store.apply_batch("t00", 2, *batch(2))
 
 
+class EventLog:
+    """A tracer stand-in that keeps every event with its attributes."""
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, name, **attrs):
+        self.events.append((name, attrs))
+
+    def reload_sources(self):
+        return [attrs["source"] for name, attrs in self.events
+                if name == "tenant_reload"]
+
+
+class TestParkedState:
+    """Reload imports the parked state only when it is bound to the
+    tenant's live counters; every other case replays and audits."""
+
+    def _store(self, tmp_path, spec=HYBRID):
+        log = EventLog()
+        store = TenantStore(spec, TraceCache(tmp_path / "cache"),
+                            max_resident=1, tracer=log)
+        return store, log
+
+    def _park(self, store):
+        store.apply_batch("t00", 1, *batch(1, events=200))
+        store.apply_batch("t01", 1, *batch(2))  # evicts t00
+        return store.cache.path_for("tenant-t00")
+
+    def _rewrite(self, path, edit):
+        trace = load_trace(path)
+        edit(trace.metadata.extra)
+        save_trace(trace, path)
+
+    def _finish(self, store, spec=HYBRID):
+        """Reload t00 with batch 2; it must match a never-evicted twin."""
+        store.apply_batch("t00", 2, *batch(3, events=200))
+        twin = TenantStore(spec, store.cache, max_resident=8)
+        for bid, seed in ((1, 1), (2, 3)):
+            twin.apply_batch("twin", bid, *batch(seed, events=200))
+        live = store.snapshot()["t00"]
+        assert (live["events"], live["misses"]) == (
+            twin.meta["twin"].events, twin.meta["twin"].misses)
+        assert store.reloads == 1
+
+    def test_evict_then_reload_imports_state(self, tmp_path):
+        store, log = self._store(tmp_path)
+        path = self._park(store)
+        parked = load_trace(path).metadata.extra["state"]
+        meta = store.meta["t00"]
+        assert (parked["events"], parked["misses"], parked["digest"]) == (
+            meta.events, meta.misses, meta.digest())
+        self._finish(store)
+        assert log.reload_sources() == ["state"]
+        assert store.reload_replays == 0
+
+    def test_mismatched_binding_falls_back_to_replay(self, tmp_path):
+        store, log = self._store(tmp_path)
+        path = self._park(store)
+
+        def stale(extra):
+            extra["state"]["misses"] += 1
+        self._rewrite(path, stale)
+        self._finish(store)
+        assert log.reload_sources() == ["replay"]
+        assert store.reload_replays == 1
+
+    def test_unloadable_state_falls_back_to_replay(self, tmp_path):
+        store, log = self._store(tmp_path)
+        path = self._park(store)
+
+        def emptied(extra):
+            columns = extra["state"]["columns"]
+            columns["c0.table"] = columns["c0.table"][:-12] + "AAAAAAAAAAAA"
+            columns["selector"] = "%%%"
+        self._rewrite(path, emptied)
+        self._finish(store)
+        assert log.reload_sources() == ["replay"]
+
+    def test_state_that_does_not_fit_falls_back_to_replay(self, tmp_path):
+        store, log = self._store(tmp_path)
+        path = self._park(store)
+
+        def too_many_ways(extra):
+            extra["state"]["columns"]["c0.table"] = (
+                encode_columns({"table": array("q", [0, 1, 0, 0, 32, 1, 0, 0,
+                                                     64, 1, 0, 0, 96, 1, 0, 0,
+                                                     128, 1, 0, 0])})["table"])
+        self._rewrite(path, too_many_ways)
+        self._finish(store)
+        assert log.reload_sources() == ["replay"]
+
+    def test_trace_without_state_replays(self, tmp_path):
+        spec = "twolevel:p=3,precision=full,address=concat,entries=none"
+        store, log = self._store(tmp_path, spec)
+        path = self._park(store)  # wide keys: the stream is parked alone
+        assert "state" not in load_trace(path).metadata.extra
+        self._finish(store, spec)
+        assert log.reload_sources() == ["replay"]
+
+
 class TestShardCore:
+    def test_evict_reload_cycle_takes_the_import_path(self, tmp_path):
+        core = ShardCore(0, HYBRID, tmp_path, max_resident=1)
+        for bid in (1, 2, 3):
+            for tenant in ("t00", "t01"):
+                assert core.handle(tenant, bid, *batch(bid))["status"] == "ok"
+        counters = core.metrics_snapshot()["counters"]
+        assert counters["shard.reloads"] == 4
+        assert counters["shard.reload_replays"] == 0
+        assert core.stats()["reload_replays"] == 0
+        core.close()
+
+    def test_stream_for_concatenates_in_order(self, tmp_path):
+        core = ShardCore(0, SPEC, tmp_path)
+        pcs1, tg1 = batch(1)
+        pcs2, tg2 = batch(2)
+        core.handle("t00", 1, pcs1, tg1)
+        core.handle("t01", 1, pcs2, tg2)  # interleaved other tenant
+        core.handle("t00", 2, pcs2, tg2)
+        pcs, targets = core.stream_for("t00")
+        assert pcs == pcs1 + pcs2
+        assert targets == tg1 + tg2
+        core.close()
+
     def test_duplicate_bid_answers_idempotently(self, tmp_path):
         core = ShardCore(0, SPEC, tmp_path)
         pcs, targets = batch(1)
