@@ -48,14 +48,15 @@ loop and write its per-cause / per-site / per-component artifact
     offset, and leaves a ``<source>.quarantine.json`` sidecar.  See
     DESIGN.md §3.11.
 
-``verify RUN_DIR [--against BASELINE_DIR]``
+``verify PATH... [--against BASELINE_DIR]``
     Check a completed run directory's ``repro-manifest/1`` (per-artifact
     SHA-256 + schema), re-validate every artifact, and cross-check them
     against each other; ``--against`` additionally proves the run
     bit-identical to a reference run.  Serving runs verify too: shard
     journals are replayed and the snapshot digests must match
-    (``--against`` a ``repro replay`` directory).  See DESIGN.md §3.9
-    and §3.10.
+    (``--against`` a ``repro replay`` directory).  A PATH that is a file
+    is validated alone, dispatched on its embedded schema id.  See
+    DESIGN.md §3.9 and §3.10.
 
 ``serve SPEC --run-dir DIR``
     Prediction-as-a-service: an asyncio server speaking the
@@ -347,11 +348,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .runtime.verify import verify_run
+    from .runtime.verify import verify_file, verify_run
 
-    report = verify_run(args.run_dir, against=args.against)
-    print(report.render())
-    return 0 if report.ok else 4
+    if args.against and not all(Path(path).is_dir() for path in args.paths):
+        print("error: --against compares run directories, not files",
+              file=sys.stderr)
+        return 2
+    reports = [verify_run(path, against=args.against) if Path(path).is_dir()
+               else verify_file(path) for path in args.paths]
+    for report in reports:
+        print(report.render())
+    return 0 if all(report.ok for report in reports) else 4
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -593,9 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_validate.set_defaults(handler=_cmd_ingest_validate)
 
     verify = subparsers.add_parser(
-        "verify", help="verify a completed run directory's artifacts")
-    verify.add_argument("run_dir", metavar="RUN_DIR",
-                        help="a --checkpoint-dir of a completed run")
+        "verify", help="verify completed run directories or artifact files")
+    verify.add_argument("paths", nargs="+", metavar="PATH",
+                        help="a --checkpoint-dir of a completed run, or "
+                             "one artifact file")
     verify.add_argument("--against", metavar="BASELINE_DIR", default=None,
                         help="also require bit-identical results to this "
                              "reference run directory")

@@ -207,6 +207,24 @@ def read_ext_trace(path: PathLike) -> ExtTrace:
     )
 
 
+def validate_ext_trace(path: PathLike) -> Tuple[ExtTrace, str]:
+    """Registry validator of ``repro-ext-trace/1`` (see ``repro verify``).
+
+    :func:`read_ext_trace`, plus what makes a trace worth simulating: at
+    least one event, and non-empty site and target tables whose labels
+    are non-empty.
+    """
+    trace = read_ext_trace(path)
+    if not trace.events:
+        raise IngestError(f"{path}: no events")
+    for what, table in (("sites", trace.sites), ("targets", trace.targets)):
+        if not all(entry["label"] for entry in table):
+            raise IngestError(f"{path}: {what} table has an empty label")
+    return trace, (f"{trace.name!r} from {trace.producer}: {len(trace)} "
+                   f"event(s), {len(trace.sites)} site(s), "
+                   f"{len(trace.targets)} target(s)")
+
+
 def write_ext_trace(
     path: PathLike,
     name: str,

@@ -32,7 +32,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, SimulationError
 from ..sim.engine import SimulationResult
 from .chaos import active as active_chaos
 from .records import RecordError, RecordLog, read_records
@@ -44,10 +44,16 @@ _FORMAT = "repro-checkpoint"
 _VERSION = 1
 
 
-def _entry(record: dict) -> Tuple[Tuple[str, str], SimulationResult]:
-    """One journalled result line -> ``((config, benchmark), result)``."""
-    return ((record["config"], record["benchmark"]),
-            SimulationResult.from_dict(record["result"]))
+def _entry(record: dict) -> Tuple[Tuple[str, str], SimulationResult, dict]:
+    """``read_records`` parse hook: ``((config, benchmark), result, record)``.
+
+    An inconsistent result fails its line like a JSON error does.
+    """
+    try:
+        result = SimulationResult.from_dict(record["result"])
+    except SimulationError as exc:
+        raise ValueError(str(exc)) from None
+    return (record["config"], record["benchmark"]), result, record
 
 
 def config_key(config: object) -> str:
@@ -62,6 +68,38 @@ def config_key(config: object) -> str:
         )
     payload = {"kind": type(config).__name__, "fields": data}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def read_journal(path: PathLike) -> Tuple[Dict[Tuple[str, str], dict], bool]:
+    """Read a journal without opening it for writing (``repro verify``).
+
+    :class:`CheckpointJournal` truncates torn tails and appends a header
+    on open; verification must observe, never mutate.  A torn *final*
+    line is dropped, interior corruption raises ``ValueError``, and so
+    does a pair journalled twice: :meth:`CheckpointJournal.record` is
+    idempotent per pair, so a duplicate always means a bug.
+
+    Returns ``((config, benchmark) -> record, dropped_partial)``.
+    """
+    journal = read_records(path, parse=_entry)
+    header = journal.header
+    if header != {"format": _FORMAT, "version": _VERSION}:
+        raise ValueError(f"{path}: bad journal header {header!r}")
+    entries: Dict[Tuple[str, str], dict] = {}
+    for pair, _, record in journal.records:
+        if pair in entries:
+            raise ValueError(f"{path}: {pair[1]} under config {pair[0]} is "
+                             f"journalled twice")
+        entries[pair] = record
+    return entries, journal.dropped_tail
+
+
+def validate_journal(path: PathLike) -> Tuple[Dict[Tuple[str, str], dict],
+                                             str]:
+    """Registry validator of ``repro-checkpoint/1`` (see ``repro verify``)."""
+    entries, dropped = read_journal(path)
+    return entries, (f"{len(entries)} journalled result(s)"
+                     + (" (torn tail dropped)" if dropped else ""))
 
 
 class CheckpointJournal:
@@ -114,7 +152,8 @@ class CheckpointJournal:
                 f"{self.path}: unsupported journal version "
                 f"{header.get('version')!r}"
             )
-        self._entries.update(journal.records)
+        self._entries.update((pair, result)
+                             for pair, result, _ in journal.records)
         return journal.committed
 
     def attach_tracer(self, tracer: object) -> None:

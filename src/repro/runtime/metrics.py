@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Optional
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from .records import PathLike
 
 #: Schema identifier embedded in every serialized snapshot.
 SNAPSHOT_SCHEMA = "repro-metrics-snapshot/1"
@@ -325,6 +328,40 @@ def validate_snapshot(snapshot: dict) -> None:
             raise ValueError(f"histogram {name!r} missing {sorted(missing)}")
         if not isinstance(data["buckets"], dict):
             raise ValueError(f"histogram {name!r} buckets must be a dict")
+        _check_histogram(name, data)
+
+
+def _check_histogram(name: str, data: dict) -> None:
+    """Range, memory-bound and bucket-sum invariants of one histogram."""
+    alpha, count, zeros = data["alpha"], data["count"], data["zero_count"]
+    if not 0.0 < alpha < 1.0 or not count >= zeros >= 0:
+        raise ValueError(f"histogram {name!r}: alpha {alpha}, count "
+                         f"{count}, zero_count {zeros}")
+    # The documented memory bound: no more buckets than the index span
+    # of the trackable range at this alpha.
+    gamma = (1.0 + alpha) / (1.0 - alpha)
+    most = math.ceil(math.log(MAX_TRACKABLE / MIN_TRACKABLE)
+                     / math.log(gamma)) + 2
+    if len(data["buckets"]) > most:
+        raise ValueError(f"histogram {name!r}: {len(data['buckets'])} "
+                         f"buckets exceeds bound {most}")
+    total = zeros + sum(data["buckets"].values())
+    if total != count:
+        raise ValueError(f"histogram {name!r}: buckets sum to {total}, "
+                         f"count says {count}")
+    if count and not (data["min"] is not None and data["max"] is not None
+                      and data["min"] <= data["max"]):
+        raise ValueError(f"histogram {name!r}: min {data['min']} / max "
+                         f"{data['max']}")
+
+
+def validate_snapshot_file(path: PathLike) -> Tuple[dict, str]:
+    """Registry validator of ``repro-metrics-snapshot/1`` (``repro verify``)."""
+    snapshot = json.loads(Path(path).read_text())
+    validate_snapshot(snapshot)
+    return snapshot, (f"{len(snapshot['counters'])} counter(s), "
+                      f"{len(snapshot['gauges'])} gauge(s), "
+                      f"{len(snapshot['histograms'])} histogram(s)")
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:

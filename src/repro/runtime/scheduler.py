@@ -22,10 +22,13 @@ parallel runs emit the same key set.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from .records import PathLike
 from .telemetry import PhaseStats
 
 #: Outcomes of :meth:`Scheduler.fail`.
@@ -358,3 +361,67 @@ class RunMetrics:
             "counters": dict(sorted(self.counters.items())),
             "per_unit": [t.to_dict() for t in self.unit_timings],
         }
+
+
+#: Top-level keys every ``repro-run-metrics/2`` document carries.
+METRICS_KEYS = frozenset(RunMetrics().to_dict())
+
+
+def _positive_counts(counts: object, what: str) -> Dict[str, int]:
+    if not isinstance(counts, dict):
+        raise ValueError(f"{what} is not an object")
+    for name, count in counts.items():
+        if not name or not isinstance(count, int) \
+                or isinstance(count, bool) or count < 1:
+            raise ValueError(f"{what} {name!r} = {count!r} is not a "
+                             f"positive int")
+    return counts
+
+
+def validate_run_metrics(path: PathLike) -> Tuple[dict, str]:
+    """Registry validator of ``repro-run-metrics/2`` (see ``repro verify``).
+
+    Beyond the key sets and value ranges: every completed unit ran on
+    exactly one kernel, and every ``auto`` fallback on the per-event loop.
+    """
+    from .chaos import check_degradations
+
+    data = json.loads(Path(path).read_text())
+    if data.get("schema") != METRICS_SCHEMA:
+        raise ValueError(f"schema {data.get('schema')!r}, expected "
+                         f"{METRICS_SCHEMA!r}")
+    missing = METRICS_KEYS - set(data)
+    if missing:
+        raise ValueError(f"metrics missing keys {sorted(missing)}")
+    units = data["units"]
+    if set(units) != set(RunMetrics().to_dict()["units"]):
+        raise ValueError(f"unit counters {sorted(units)}")
+    if data["workers"] < 1 or not data["wall_time_s"] > 0:
+        raise ValueError(f"workers {data['workers']}, wall time "
+                         f"{data['wall_time_s']}")
+    for name, stats in data["phases"].items():
+        if set(stats) != {"seconds", "count"} or stats["seconds"] < 0 \
+                or stats["count"] < 1:
+            raise ValueError(f"phase {name!r}: {stats}")
+    if "simulate" not in data["phases"] and units["completed"]:
+        raise ValueError("units completed but no simulate phase")
+    sources = set(data["trace_loads"]) | {
+        unit["trace_source"] for unit in data["per_unit"]}
+    if not sources <= {"memo", "cache", "generated"} \
+            or any(unit["seconds"] < 0 for unit in data["per_unit"]):
+        raise ValueError(f"trace sources {sorted(sources)} or a negative "
+                         f"unit time")
+    _positive_counts(data["counters"], "counter")
+    check_degradations(data.get("degradations", {}))
+    kernels = _positive_counts(data["kernels"], "kernel")
+    fallbacks = _positive_counts(data["kernel_fallbacks"], "fallback")
+    if not set(kernels) <= {"event", "batch"}:
+        raise ValueError(f"unknown kernel(s) {sorted(kernels)}")
+    if sum(kernels.values()) != units["completed"]:
+        raise ValueError(f"kernels count {sum(kernels.values())} unit(s), "
+                         f"{units['completed']} completed")
+    if sum(fallbacks.values()) > kernels.get("event", 0):
+        raise ValueError(f"{sum(fallbacks.values())} auto fallback(s) but "
+                         f"only {kernels.get('event', 0)} per-event unit(s)")
+    return data, (f"{units['completed']} unit(s), "
+                  f"{len(data['phases'])} phase(s), kernels {kernels}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .records import PathLike, RecordLog, read_records
 
@@ -218,3 +218,35 @@ def read_trace_log(path: PathLike, schema: str = TRACE_LOG_SCHEMA) -> List[dict]
     if log.header.get("schema") != schema:
         raise ValueError(f"{path}: not a {schema} log (header {log.header!r})")
     return log.records
+
+
+def validate_trace_log(path: PathLike) -> Tuple[List[dict], str]:
+    """Registry validator of ``repro-trace-log/1`` (see ``repro verify``).
+
+    A finished run's log is whole (a fresh sink per run, so never torn)
+    and holds at least one span and one event, each of its kind's shape.
+    """
+    log = read_records(path)
+    if log.header is None or log.header.get("schema") != TRACE_LOG_SCHEMA \
+            or log.dropped_tail:
+        raise ValueError(f"{path}: not a whole {TRACE_LOG_SCHEMA} log "
+                         f"(header {log.header!r}, torn final line: "
+                         f"{log.dropped_tail})")
+    records = log.records
+    spans = 0
+    for number, record in enumerate(records, start=2):
+        span = record.get("kind") == "span"
+        times = [record.get("t")] + ([record.get("dur_s"),
+                                      record.get("depth")] if span else [])
+        if record.get("kind") not in ("span", "event") \
+                or not record.get("name") \
+                or not isinstance(record.get("attrs"), dict) \
+                or not all(isinstance(value, (int, float)) and value >= 0
+                           for value in times):
+            raise ValueError(f"{path}:{number}: not a named span (t, dur_s, "
+                             f"depth >= 0) or event (t >= 0) with attrs")
+        spans += span
+    if not spans or spans == len(records):
+        raise ValueError(f"{path}: trace log needs spans and events, has "
+                         f"{spans} span(s), {len(records) - spans} event(s)")
+    return records, f"{spans} span(s), {len(records) - spans} event(s)"

@@ -6,8 +6,8 @@ and is the same merged ``repro-metrics-snapshot/1`` the server streams
 into ``metrics-stream.jsonl``.
 
 * :func:`run_stats` — one-shot: fetch, render as aligned tables (or dump
-  the raw merged snapshot as JSON, pipeable into
-  ``check_metrics_schema.py``).
+  the raw merged snapshot as JSON, which ``repro verify FILE``
+  validates).
 * :func:`run_top` — a small ANSI dashboard redrawn every ``interval``
   seconds: per-shard event rates (derived from counter deltas between
   polls), queue depths, batch p50/p99, sheds, tenant residency, and

@@ -17,7 +17,10 @@ that exhausts its attempts is shed as ``poisoned``.  Every shed — there
 is no silent drop path — is journalled to ``sheds.jsonl`` (schema
 ``repro-service-sheds/1``) and answered explicitly, which is one half of
 the serving contract; the other half (accepted ⇒ answered with state
-provable by replay) is carried by the shard journals.
+provable by replay) is carried by the shard journals.  A shed before
+acceptance also counts as ``refused``, so ``service-metrics.json``'s
+books balance: ``accepted + refused == answered + shed``, which
+``repro verify`` checks.
 
 **Recovery.**  A monitor task watches shard liveness and batch age.  A
 dead or hung shard is killed and respawned with fresh queues — the
@@ -227,9 +230,9 @@ class PredictionServer:
         self._stream_seq = 0
         self._started_at = time.monotonic()
         self.counters: Dict[str, int] = {
-            "accepted": 0, "answered": 0, "shed": 0, "events_applied": 0,
-            "events_shed": 0, "duplicates": 0, "accept_faults": 0,
-            "requeues": 0,
+            "accepted": 0, "refused": 0, "answered": 0, "shed": 0,
+            "events_applied": 0, "events_shed": 0, "duplicates": 0,
+            "accept_faults": 0, "requeues": 0,
         }
         self.sheds_by_reason: Dict[str, int] = {}
         self.degradations: Dict[str, int] = {}
@@ -353,16 +356,16 @@ class PredictionServer:
         shard = self._shards[shard_for(tenant, len(self._shards))]
         depth = shard.scheduler.pending_depth + shard.scheduler.in_flight_count
         self.depth_hist.observe(depth)
-        if self._draining:
-            return self._shed(shard, tenant, bid, priority, "shutting_down")
-        if shard.failed:
-            return self._shed(shard, tenant, bid, priority,
-                              "shard_unavailable")
-        if depth >= self.queue_hard:
-            return self._shed(shard, tenant, bid, priority, "overload")
         backpressure = depth >= self.queue_soft
-        if backpressure and priority <= 0:
-            return self._shed(shard, tenant, bid, priority, "backpressure")
+        refusal = ("shutting_down" if self._draining
+                   else "shard_unavailable" if shard.failed
+                   else "overload" if depth >= self.queue_hard
+                   else "backpressure" if backpressure and priority <= 0
+                   else None)
+        if refusal is not None:
+            # Shed before acceptance: the books count it as refused.
+            self.counters["refused"] += 1
+            return self._shed(shard, tenant, bid, priority, refusal)
         self._next_req += 1
         req_id = self._next_req
         batch = _Batch(

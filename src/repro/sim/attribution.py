@@ -60,7 +60,7 @@ from ..core.tables import (
 )
 from ..core.twolevel import TwoLevelPredictor
 from ..errors import SimulationError
-from ..runtime.records import PathLike, RecordLog
+from ..runtime.records import PathLike, RecordLog, read_records
 from ..runtime.telemetry import read_trace_log
 from ..workloads.trace import Trace
 
@@ -510,6 +510,79 @@ class AttributionCollector:
             writer.write(self.summary())
 
 
+#: Key set of every serialized ``record`` line.
+RECORD_KEYS = frozenset({
+    "kind", "benchmark", "predictor", "events", "mispredictions", "causes",
+    "sites", "site_count", "tables", "confusion",
+})
+
+
 def read_attribution(path: PathLike) -> List[dict]:
     """Parse an attribution artifact; validates the schema header."""
     return read_trace_log(path, schema=ATTRIBUTION_SCHEMA)
+
+
+def validate_attribution(path: PathLike) -> Tuple[List[dict], str]:
+    """Registry validator of ``repro-attribution/1`` (see ``repro verify``).
+
+    The artifact is written whole, so a torn line fails, and its header
+    names no pid (serial and parallel runs write equal bytes).  The exactness
+    invariant holds per record, per hot site and in the one trailing
+    summary: cause counts sum to the misprediction total.
+    """
+    log = read_records(path)
+    if log.header != {"schema": ATTRIBUTION_SCHEMA} or log.dropped_tail:
+        raise ValueError(f"{path}: not a whole {ATTRIBUTION_SCHEMA} artifact "
+                         f"(header {log.header!r}, torn final line: "
+                         f"{log.dropped_tail})")
+    lines = log.records
+    totals = AttributionCollector()
+    summaries = []
+    for number, record in enumerate(lines, start=2):
+        where = f"{path}:{number}"
+        if record.get("kind") == "summary":
+            summaries.append(record)
+            if record != totals.summary():
+                raise ValueError(f"{where}: summary does not total the "
+                                 f"{len(totals)} record(s) before it")
+            continue
+        try:
+            _check_record(record)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{where}: malformed record ({exc!r})") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        totals.add_dict(record)
+    if not len(totals) or len(summaries) != 1 or lines[-1] is not summaries[0]:
+        raise ValueError(f"{path}: {len(totals)} record(s) and "
+                         f"{len(summaries)} summary line(s); want records, "
+                         f"then one summary")
+    return lines, (f"{len(totals)} record(s), "
+                   f"{summaries[0]['mispredictions']} miss(es) attributed")
+
+
+def _check_record(record: dict) -> None:
+    """One ``record`` line's shape, ranges and cause sums."""
+    if record["kind"] != "record" or set(record) != RECORD_KEYS \
+            or set(record["causes"]) != set(CAUSES):
+        raise ValueError(f"record keys {sorted(record)} or causes "
+                         f"{sorted(record['causes'])}")
+    cause_sum = sum(record["causes"].values())
+    if cause_sum != record["mispredictions"]:
+        raise ValueError(f"causes sum to {cause_sum}, record says "
+                         f"{record['mispredictions']}")
+    if not 0 <= record["mispredictions"] <= record["events"] \
+            or len(record["sites"]) > record["site_count"]:
+        raise ValueError("counts out of range")
+    for site in record["sites"]:
+        if sum(site["causes"].values()) != site["misses"] \
+                or not set(site["causes"]) <= set(CAUSES) \
+                or not 0 <= site["misses"] <= site["executions"]:
+            raise ValueError(f"site {site['pc']:#x} causes do not sum to "
+                             f"its {site['misses']} misses")
+    for table in record["tables"]:
+        capacity = table["capacity"]
+        if table["entries"] < 0 or (capacity is not None
+                                    and table["entries"] > capacity):
+            raise ValueError(f"table holds {table['entries']} entries of "
+                             f"{capacity}")

@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.config import BTBConfig
 from repro.errors import ServiceError
-from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.verify import read_journal
+from repro.runtime.checkpoint import CheckpointJournal, read_journal
 from repro.service.state import ShardJournal, read_service_journal
 from repro.sim.attribution import ATTRIBUTION_SCHEMA, read_attribution
 from repro.sim.engine import SimulationResult

@@ -13,10 +13,10 @@ import pytest
 
 from repro.__main__ import main
 from repro.runtime.chaos import ChaosPlan, FaultSpec
+from repro.runtime.checkpoint import read_journal
 from repro.runtime.verify import (
     MANIFEST_SCHEMA,
     journal_body,
-    read_journal,
     verify_run,
     write_manifest,
 )
@@ -96,15 +96,29 @@ class TestVerifyCommand:
         _, run_dir = simulate_run(tmp_path, "counts")
         # Rewrite metrics to claim a different unit count, manifest too
         # (so the hash check passes and the cross-check does the work).
+        # A bumped ``completed`` would fail the metrics' own kernel
+        # count first; ``from_checkpoint`` only shows against the journal.
         metrics_path = run_dir / "metrics.json"
         metrics = json.loads(metrics_path.read_text())
-        metrics["units"]["completed"] += 1
+        metrics["units"]["from_checkpoint"] += 1
         metrics_path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
         write_manifest(run_dir,
                        {"journal": run_dir / "results.jsonl",
                         "metrics": metrics_path})
         assert run_cli("verify", str(run_dir)) == 4
         assert "metrics report" in capsys.readouterr().out
+
+    def test_duplicate_journal_entry_fails(self, tmp_path, capsys):
+        """``record`` is idempotent per pair: a pair journalled twice is a
+        bug, even when the manifest is re-hashed over it."""
+        _, run_dir = simulate_run(tmp_path, "dup")
+        path = run_dir / "results.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[-1:]))
+        write_manifest(run_dir, {"journal": path,
+                                 "metrics": run_dir / "metrics.json"})
+        assert run_cli("verify", str(run_dir)) == 4
+        assert "journalled twice" in capsys.readouterr().out
 
     def test_kernel_counts_must_cover_completed_units(self, tmp_path, capsys):
         _, run_dir = simulate_run(tmp_path, "kernels",
@@ -114,7 +128,7 @@ class TestVerifyCommand:
         assert sum(metrics["kernels"].values()) \
             == metrics["units"]["completed"] == 2
         assert run_cli("verify", str(run_dir)) == 0
-        assert "[ok ] kernels:" in capsys.readouterr().out
+        assert "[ok ] format:metrics: 2 unit(s)" in capsys.readouterr().out
         # One of the two completed units ran on no kernel.
         metrics["kernels"] = {"event": 1}
         metrics["kernel_fallbacks"] = {}
@@ -123,7 +137,8 @@ class TestVerifyCommand:
                        {"journal": run_dir / "results.jsonl",
                         "metrics": metrics_path})
         assert run_cli("verify", str(run_dir)) == 4
-        assert "[FAIL] kernels:" in capsys.readouterr().out
+        assert "[FAIL] format:metrics: ValueError: kernels count 1 unit(s), " \
+            "2 completed" in capsys.readouterr().out
 
     def test_against_baseline_bit_identity(self, tmp_path, capsys):
         _, baseline = simulate_run(tmp_path, "serial")

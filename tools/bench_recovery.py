@@ -113,6 +113,33 @@ def measure(total_batches: int, scratch: Path) -> dict:
     }
 
 
+def check_record(record: dict) -> None:
+    """Exit nonzero unless the record is internally consistent.
+
+    Points grow in journal length, each speedup is derivable from its
+    two times, and the headline is the largest point.
+    """
+    last_total = 0
+    for point in record["points"]:
+        if point["total_batches"] <= last_total \
+                or not 0 < point["tail_events"] <= point["total_events"] \
+                or not point["snapshot_recovery_s"] > 0 \
+                or not point["full_replay_s"] > 0:
+            raise SystemExit(f"error: inconsistent point {point}")
+        derived = point["full_replay_s"] / point["snapshot_recovery_s"]
+        if abs(point["speedup"] - derived) > 0.05 * derived + 0.01:
+            raise SystemExit(f"error: speedup {point['speedup']} vs derived "
+                             f"{derived:.2f}")
+        last_total = point["total_batches"]
+    if not record["points"]:
+        raise SystemExit("error: no measurement points")
+    headline, largest = record["headline"], record["points"][-1]
+    if headline["speedup_vs_full_replay"] != largest["speedup"] \
+            or headline["snapshot_recovery_s"] \
+            != largest["snapshot_recovery_s"]:
+        raise SystemExit("error: headline is not the largest point")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark snapshot recovery vs full journal replay.")
@@ -146,6 +173,7 @@ def main(argv=None) -> int:
             "full_replay_s": headline_point["full_replay_s"],
         },
     }
+    check_record(record)
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

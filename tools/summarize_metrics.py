@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.ingest import EXT_TRACE_SCHEMA, read_ext_trace  # noqa: E402
 from repro.runtime.chaos import DEGRADATION_EVENTS  # noqa: E402
 from repro.runtime.telemetry import TRACE_LOG_SCHEMA, read_trace_log  # noqa: E402
+from repro.runtime.verify import embedded_schema  # noqa: E402
 from repro.sim.reporting import format_table  # noqa: E402
 
 
@@ -159,21 +160,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     path = Path(args.file)
-    text = path.read_text(encoding="utf-8")
-    # A trace log is JSONL with a schema header on line 1; a metrics
-    # document is one (pretty-printed) JSON object.
-    try:
-        header = json.loads(text.splitlines()[0] if text else "")
-    except ValueError:
-        header = None
-    if isinstance(header, dict) and header.get("schema") == TRACE_LOG_SCHEMA:
+    schema = embedded_schema(path)
+    if schema == TRACE_LOG_SCHEMA:
         print(summarize_trace_log(read_trace_log(path)))
         return 0
-    if isinstance(header, dict) and header.get("schema") == EXT_TRACE_SCHEMA:
+    if schema == EXT_TRACE_SCHEMA:
         print(summarize_ext_trace(path))
         return 0
     try:
-        data = json.loads(text)
+        data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError:
         print(f"error: {path} is neither a metrics JSON document nor a "
               f"trace log", file=sys.stderr)
