@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "published in endpoint.json)")
     serve.add_argument("--max-resident", type=int, default=8, metavar="N",
                        help="live tenants per shard before LRU eviction "
-                            "to the trace cache (default: 8)")
+                            "parks their table state (default: 8)")
     serve.add_argument("--queue-soft", type=int, default=16, metavar="N",
                        help="per-shard depth that sheds priority-0 load "
                             "and flags back-pressure (default: 16)")
@@ -651,9 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--checkpoint-interval", type=int, default=256,
                        metavar="BATCHES",
                        help="applied batches between shard recovery "
-                            "checkpoints (repro-shard-snapshot/1) and "
-                            "journal compactions; 0 disables "
-                            "checkpointing (default: 256)")
+                            "checkpoints (repro-shard-snapshot/2), each "
+                            "sealing the live journal segment; 0 "
+                            "disables checkpointing (default: 256)")
     serve.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                        help="arm a deterministic service fault plan "
                             "(shard crashes/stalls, connection faults, "

@@ -85,7 +85,7 @@ INJECTION_POINTS: Dict[str, Tuple[str, ...]] = {
     "service.accept": ("io_error",),       # EIO on the connection accept/read path
     "service.shard_exit": ("crash",),      # shard process SIGKILLs mid-batch
     "service.slow_shard": ("hang",),       # shard stalls before a batch
-    "tenant.churn": ("evict",),            # force-evict tenant state to the cache
+    "tenant.churn": ("evict",),            # force-evict (park) tenant state
     # EIO on a metrics-stream append: the server must detach the stream
     # (metrics_stream_off degradation), never die.  Catalog-only — not in
     # SERVICE_POINTS: the stream is an observability side channel, not a

@@ -70,13 +70,16 @@ ARTIFACT_SCHEMAS: Dict[str, str] = {
     "ext_trace": "repro-ext-trace/1",
     # -- prediction-service artifacts (repro serve; DESIGN.md §3.10) -----
     "service_journal": "repro-service-journal/1",
+    # sealed journal segments, manifested as service_segment.<n> (every
+    # shard's, in shard then base order); each names its shard and base.
+    "service_segment": "repro-service-journal/1",
     "service_sheds": "repro-service-sheds/1",
     "service_tenants": "repro-service-tenants/1",
     "service_metrics": "repro-service-metrics/1",
     "service_metrics_stream": "repro-service-metrics-stream/1",
     # shard recovery checkpoints (DESIGN.md §3.14), manifested as
     # shard_snapshot.<n> — one per shard that checkpointed.
-    "shard_snapshot": "repro-shard-snapshot/1",
+    "shard_snapshot": "repro-shard-snapshot/2",
 }
 
 
@@ -96,7 +99,7 @@ VALIDATORS: Dict[str, str] = {
     "repro-service-metrics/1": "repro.service.state:validate_service_metrics",
     "repro-service-metrics-stream/1":
         "repro.service.state:validate_metrics_stream",
-    "repro-shard-snapshot/1":
+    "repro-shard-snapshot/2":
         "repro.service.checkpoint:validate_checkpoint_file",
     "repro-metrics-snapshot/1": "repro.runtime.metrics:validate_snapshot_file",
     MANIFEST_SCHEMA: "repro.runtime.verify:validate_manifest",
@@ -392,8 +395,9 @@ def verify_run(
        to ``checkpoint_off`` — the journal is legitimately short then);
     5. every attribution record matches its journalled result exactly
        (events, mispredictions);
-    6. serving runs: journal replay == the tenant snapshot, checkpoint +
-       tail == journal, the live stream consistent with the final metrics;
+    6. serving runs: replay of the journal segments == the tenant
+       snapshot, each checkpoint == the segments replayed up to its
+       watermark, the live stream consistent with the final metrics;
     7. with ``against``: the two journals' (sorted) data lines are
        byte-identical (under ``checkpoint_off`` the run's journal is
        legitimately truncated — then every line it does hold must match
@@ -583,104 +587,115 @@ def _cross_check_ingest(parsed: Dict[str, object],
                    f"manifested source event counts")
 
 
-def _service_record_sets(parsed: Dict[str, object],
-                         report: VerifyReport) -> Optional[dict]:
-    """Assemble per-shard logical record sequences for the replay oracle.
+def _service_histories(parsed: Dict[str, object],
+                       report: VerifyReport) -> Optional[Dict[int, list]]:
+    """Every shard's accepted records from genesis, from its segments.
 
-    Returns ``{"plain": {shard: records}, "composed": {shard: records}
-    | None}``: ``plain`` is the from-genesis sequence every shard can
-    prove (journal records, prefixed by checkpoint base records where
-    the journal was compacted), ``composed`` additionally routes
-    *every* checkpointed shard through (checkpoint + tail) so the
-    checkpoint itself is proven against ``tenants.json`` even when the
-    full journal is still available.  ``None`` (with a failed report
-    line) when a compacted journal has no checkpoint covering it.
+    A shard's history is its sealed segments (``service_segment.*``) in
+    base order, then its live journal; each must start where the one
+    before it ended.  ``None`` (with a failed report line) when one does
+    not — a sealed segment is missing or failed its hash.
     """
-    from ..service.checkpoint import base_records
-    from ..service.state import journal_base
+    from ..service.state import join_segments
 
-    journals = {kind: data for kind, data in parsed.items()
-                if base_kind(kind) == "service_journal"}
-    checkpoints = {}
+    segments: Dict[int, list] = {}
     for kind, data in parsed.items():
-        if base_kind(kind) == "shard_snapshot":
-            checkpoints[data["payload"].get("shard")] = data["payload"]
-    plain: Dict[int, list] = {}
-    composed: Dict[int, list] = {}
-    any_composed = False
-    for index, data in enumerate(journals.values()):
-        header, records = data["header"], data["records"]
-        shard = header.get("shard", index)
-        base = journal_base(header, f"service_journal.{shard}")
-        total = base + len(records)
-        payload = checkpoints.get(shard)
-        covered = payload["journal_records"] if payload else None
-        if payload is not None and not base <= covered <= total:
-            report.add("service:replay", False,
+        if base_kind(kind) in ("service_segment", "service_journal") \
+                and data:
+            header = data["header"]
+            segments.setdefault(header.get("shard"), []).append(
+                (header, data["records"]))
+    histories: Dict[int, list] = {}
+    for shard, pieces in segments.items():
+        pieces.sort(key=lambda piece: piece[0].get("base", 0))
+        try:
+            histories[shard] = join_segments(pieces,
+                                             origin=f"shard {shard} journal")
+        except Exception as exc:
+            report.add("service:replay", False, str(exc))
+            return None
+    return histories
+
+
+def _check_checkpoints(parsed: Dict[str, object], spec: str,
+                       histories: Dict[int, list],
+                       report: VerifyReport) -> None:
+    """Each checkpoint == its shard's segments replayed up to its watermark.
+
+    Replays records ``[0, W)`` through fresh predictors: every tenant's
+    digest must equal the checkpoint's, and every exported column set
+    the checkpoint carries must equal the replayed predictor's — the
+    checkpoint is then provably the state the history it stands for
+    produces, not merely self-consistent.
+    """
+    from ..core.columns import encode_columns
+    from ..service.replay import replay_shard
+
+    tenants = columns = 0
+    for kind, data in sorted(parsed.items()):
+        if base_kind(kind) != "shard_snapshot" or not data:
+            continue
+        payload = data["payload"]
+        shard, covered = payload["shard"], payload["journal_records"]
+        history = histories.get(shard, [])
+        if covered > len(history):
+            report.add("service:checkpoint_replay", False,
                        f"shard {shard}: checkpoint covers {covered} "
-                       f"record(s) but the journal segment spans "
-                       f"[{base}, {total})")
-            return None
-        if base and payload is None:
-            report.add("service:replay", False,
-                       f"shard {shard}: {base} record(s) compacted away "
-                       f"but no shard_snapshot artifact covers them")
-            return None
-        if payload is not None:
-            composed[shard] = (base_records(payload)
-                               + records[covered - base:])
-            any_composed = True
-            plain[shard] = composed[shard] if base else records
-        else:
-            plain[shard] = composed[shard] = records
-    return {"plain": plain, "composed": composed if any_composed else None}
+                       f"record(s) but the journal holds {len(history)}")
+            return
+        replayed = replay_shard(spec, history[:covered], kernel="event")
+        drift = []
+        for tenant, entry in sorted(payload["tenants"].items()):
+            meta, predictor = replayed.get(tenant, (None, None))
+            if meta is None or meta.digest() != entry["digest"]:
+                drift.append(f"{tenant} (digest)")
+            elif entry.get("predictor") is not None:
+                columns += 1
+                if encode_columns(predictor.export_state()) \
+                        != entry["predictor"]:
+                    drift.append(f"{tenant} (table state)")
+        drift += [f"{tenant} (missing)" for tenant in sorted(replayed)
+                  if tenant not in payload["tenants"]]
+        if drift:
+            report.add("service:checkpoint_replay", False,
+                       f"shard {shard}: checkpoint diverges from the "
+                       f"segments replayed to record {covered}: "
+                       f"{', '.join(drift[:3])}")
+            return
+        tenants += len(payload["tenants"])
+    if tenants:
+        report.add("service:checkpoint_replay", True,
+                   f"{tenants} checkpointed tenant(s), {columns} table "
+                   f"state(s) bit-identical to the segments replayed to "
+                   f"each checkpoint's watermark")
 
 
 def _cross_check_service(parsed: Dict[str, object],
                          report: VerifyReport) -> None:
     """The serving contract: snapshot digests == offline journal replay.
 
-    Replays every manifested shard journal's accepted batches through
+    Replays every shard's journal segments (sealed, then live) through
     fresh predictors and compares the resulting per-tenant digests with
     the ``tenants.json`` snapshot the live server wrote — through any
-    crashes, respawns, evictions, and journal compactions the run
-    survived.  Compacted journals are re-prefixed with the covering
-    checkpoint's base records; where a checkpoint exists the
-    (checkpoint + tail) composition is *also* replayed and must land on
-    the same digests, proving the checkpoint equivalent to the history
-    it replaced.  Also proves no accepted batch was silently
-    double-counted: replayed event totals must equal the snapshot's.
+    crashes, respawns, evictions, and compactions the run survived.
+    Every checkpoint is proven against the same history up to its
+    watermark (:func:`_check_checkpoints`).  Also proves no accepted
+    batch was silently double-counted: replayed event totals must equal
+    the snapshot's.
     """
     snapshot = parsed.get("service_tenants")
-    journals = {kind: data for kind, data in parsed.items()
-                if base_kind(kind) == "service_journal"}
-    if snapshot is None or not journals:
+    if snapshot is None or not any(base_kind(kind) == "service_journal"
+                                   for kind in parsed):
         return
     from ..service.replay import replay_records
 
     spec = snapshot.get("spec")
-    record_sets = _service_record_sets(parsed, report)
-    if record_sets is None:
+    histories = _service_histories(parsed, report)
+    if histories is None:
         return
-    shard_records = record_sets["plain"]
     try:
-        replayed = replay_records(spec, shard_records)
-        if record_sets["composed"] is not None:
-            composed = replay_records(spec, record_sets["composed"])
-            drift = [tenant for tenant in sorted(set(replayed)
-                                                 | set(composed))
-                     if replayed.get(tenant, {}).get("digest")
-                     != composed.get(tenant, {}).get("digest")]
-            if drift:
-                report.add(
-                    "service:checkpoint_replay", False,
-                    f"checkpoint + tail replay diverges from journal "
-                    f"replay for: {', '.join(drift[:3])}")
-            else:
-                report.add(
-                    "service:checkpoint_replay", True,
-                    f"checkpoint + tail replay bit-identical to journal "
-                    f"replay for {len(composed)} tenant(s)")
+        replayed = replay_records(spec, histories)
+        _check_checkpoints(parsed, spec, histories, report)
     except Exception as exc:
         report.add("service:replay", False,
                    f"{type(exc).__name__}: {exc}")

@@ -1,57 +1,59 @@
-"""Crash-consistent shard checkpoints (``repro-shard-snapshot/1``).
+"""Crash-consistent shard checkpoints (``repro-shard-snapshot/2``).
 
-A checkpoint is one JSON document freezing everything a shard needs to
-answer for its history without the journal prefix it covers:
+A checkpoint freezes a shard's *state*, never its history — the journal
+segments are the only record of that.  It is one JSON document:
 
 * ``journal_records`` — the absolute accepted-record watermark **W** the
-  checkpoint covers.  Recovery = load checkpoint + replay journal
-  records ``W..`` (the *tail*), so recovery time is O(events since the
-  checkpoint), not O(journal length).
+  checkpoint covers.  Recovery = load checkpoint + replay the live
+  journal segment's records ``W..`` (the *tail*), so recovery time is
+  O(table size + events since the checkpoint), however long the shard
+  has run.
 * per tenant — the serialized :class:`~repro.service.state.TenantMeta`
-  (counters, digest-chain link, batch bounds), the full accepted stream
-  columns (base64 of little-endian ``uint32``), and — for tenants that
-  were resident at checkpoint time — the predictor's exported state
+  (counters, digest-chain link, digest) and, for tenants that were
+  resident at checkpoint time, the predictor's exported state
   (``predictor``: named base64 ``int64`` columns, see
-  :mod:`repro.core.columns`) so recovery restarts warm without replaying
-  the stream.
+  :mod:`repro.core.columns`) so recovery restarts them warm.  A parked
+  tenant is recorded by its counters and chain only (``predictor``
+  ``null``), as is one whose keys do not fit ``int64`` columns.
 * ``crc32`` — whole-payload CRC over the canonical JSON with the crc
   field removed.  Validation additionally re-derives every tenant's
-  digest from its chain link + counters and cross-checks stream lengths
-  against the counters, so a checkpoint cannot *pass* validation and
+  digest from its chain link + counters and checks that the tenants'
+  batch counts sum to W, so a checkpoint cannot *pass* validation and
   still disagree with itself.
+
+The file is written in the canonical form itself (compact, sorted keys),
+so its size depends on the tenants and the table configuration, not on
+how many events were served.
 
 Nothing in a checkpoint can run code: the predictor state is integers
 only, and importing it checks every shape against the shard's spec.
 Validation checks the columns' names and row widths; only
 :class:`~repro.service.shard.ShardCore` imports them, and state that
-does not fit demotes the tenant to a cold (replay-on-touch) adopt.  So
-does a pickled predictor blob left by an older writer: it is accepted
-by validation but never loaded.
+does not fit leaves the tenant to be rebuilt on first touch.  Any other
+schema — the history-carrying ``repro-shard-snapshot/1`` included —
+fails validation and takes the salvage ladder's quarantine path.
 
-File discipline is write-temp-then-``os.replace`` with fsync, the same
-as :class:`~repro.runtime.cache.TraceCache`; a checkpoint that fails
-validation is quarantined to ``<name>.corrupt`` with a JSON sidecar,
-the same pattern ingest uses for undecodable traces.
+File discipline is write-temp-then-``os.replace`` with fsync; a
+checkpoint that fails validation is quarantined to ``<name>.corrupt``
+with a JSON sidecar, the same pattern ingest uses for undecodable traces.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import os
-import zlib
-from array import array
 from pathlib import Path
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.columns import decode_columns, encode_columns, row_width, rows_of
 from ..core.factory import predictor_from_spec
 from ..errors import ReproError, ServiceError, StateError
-from .state import PathLike, TenantMeta, valid_tenant
+from .state import (
+    PathLike, TenantMeta, payload_crc, valid_tenant,
+)
 
 #: JSON schema identifier of a shard recovery checkpoint.
-SNAPSHOT_SCHEMA = "repro-shard-snapshot/1"
+SNAPSHOT_SCHEMA = "repro-shard-snapshot/2"
 
 
 def checkpoint_path(run_dir: PathLike, shard_id: int) -> Path:
@@ -64,63 +66,29 @@ def prev_checkpoint_path(run_dir: PathLike, shard_id: int) -> Path:
     return Path(run_dir) / f"snapshot-{shard_id}.prev.json"
 
 
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def payload_crc(payload: dict) -> int:
-    """CRC32 of the canonical payload with the ``crc32`` field removed."""
-    scrubbed = {key: value for key, value in payload.items()
-                if key != "crc32"}
-    return zlib.crc32(_canonical(scrubbed)) & 0xFFFFFFFF
-
-
-def _encode_columns(values: Sequence[int]) -> str:
-    return base64.b64encode(array("I", values).tobytes()).decode("ascii")
-
-
-def _decode_columns(blob: str, origin: str) -> array:
-    try:
-        raw = base64.b64decode(blob.encode("ascii"), validate=True)
-    except (binascii.Error, ValueError, UnicodeEncodeError):
-        raise ServiceError(f"{origin}: undecodable stream column")
-    if len(raw) % 4:
-        raise ServiceError(f"{origin}: stream column is {len(raw)} bytes, "
-                           f"not a multiple of 4")
-    column = array("I")
-    column.frombytes(raw)
-    return column
-
-
 def build_checkpoint(
     shard_id: int,
     spec: str,
     journal_records: int,
-    tenants: Dict[str, Tuple[TenantMeta, Sequence[int], Sequence[int],
-                             Optional[object]]],
+    tenants: Dict[str, Tuple[TenantMeta, Optional[object]]],
 ) -> dict:
     """Assemble a checkpoint payload (not yet written anywhere).
 
-    ``tenants`` maps each tenant to ``(meta, pcs, targets, predictor)``
-    where ``predictor`` is the live instance whose state to export, or
-    ``None`` for a tenant whose predictor is parked (it will be adopted
-    cold, as is one whose state does not fit ``int64`` columns).
+    ``tenants`` maps each tenant to ``(meta, predictor)`` where
+    ``predictor`` is the live instance whose state to export, or
+    ``None`` for a parked tenant (recorded by counters and chain only,
+    as is one whose state does not fit ``int64`` columns).
     """
     entries: Dict[str, dict] = {}
     for tenant in sorted(tenants):
-        meta, pcs, targets, predictor = tenants[tenant]
-        entry = meta.to_snapshot()
-        entry["pcs"] = _encode_columns(pcs)
-        entry["targets"] = _encode_columns(targets)
+        meta, predictor = tenants[tenant]
         state = None
         if predictor is not None:
             try:
                 state = encode_columns(predictor.export_state())
             except StateError:
-                pass  # keys wider than int64: adopted cold on recovery
-        entry["predictor"] = state
-        entries[tenant] = entry
+                pass  # keys wider than int64: rebuilt by replay on touch
+        entries[tenant] = {**meta.to_snapshot(), "predictor": state}
     payload = {
         "schema": SNAPSHOT_SCHEMA,
         "shard": shard_id,
@@ -137,14 +105,11 @@ def validate_checkpoint(payload: object, origin: str = "checkpoint",
                         spec: Optional[str] = None) -> dict:
     """Full structural + cryptographic validation of a checkpoint payload.
 
-    Returns ``{"payload", "metas": {tenant: TenantMeta}, "streams":
-    {tenant: (pcs, targets)}}`` on success; raises
-    :class:`~repro.errors.ServiceError` on *any* inconsistency.
-    Predictor state must be ``None``, exactly the named columns the
+    Returns ``{"payload", "metas": {tenant: TenantMeta}}`` on success;
+    raises :class:`~repro.errors.ServiceError` on *any* inconsistency.
+    Predictor state must be ``None`` or exactly the named columns the
     spec's predictor exports (whole rows of non-negative values, table
-    miss bits 0 or 1), or an older writer's pickle blob: a string,
-    accepted so the salvage ladder keeps an otherwise valid checkpoint,
-    but never loaded — its tenant is adopted cold (DESIGN.md §3.14).
+    miss bits 0 or 1).
     """
     if not isinstance(payload, dict):
         raise ServiceError(f"{origin}: checkpoint is not an object")
@@ -171,7 +136,6 @@ def validate_checkpoint(payload: object, origin: str = "checkpoint",
     if not isinstance(entries, dict):
         raise ServiceError(f"{origin}: tenants is not an object")
     metas: Dict[str, TenantMeta] = {}
-    streams: Dict[str, Tuple[array, array]] = {}
     total_batches = 0
     for tenant, entry in entries.items():
         where = f"{origin}: tenant {tenant!r}"
@@ -183,14 +147,8 @@ def validate_checkpoint(payload: object, origin: str = "checkpoint",
             meta = TenantMeta.from_snapshot(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"{where}: inconsistent meta ({exc})")
-        pcs = _decode_columns(entry.get("pcs", ""), where)
-        targets = _decode_columns(entry.get("targets", ""), where)
-        if len(pcs) != meta.events or len(targets) != meta.events:
-            raise ServiceError(
-                f"{where}: stream columns hold {len(pcs)}/{len(targets)} "
-                f"events; counters say {meta.events}")
         state = entry.get("predictor")
-        if state is not None and not isinstance(state, str):
+        if state is not None:
             if state_names is None:
                 state_names = _state_names(payload["spec"], origin)
             try:
@@ -198,13 +156,12 @@ def validate_checkpoint(payload: object, origin: str = "checkpoint",
             except StateError as exc:
                 raise ServiceError(f"{where}: predictor state ({exc})")
         metas[tenant] = meta
-        streams[tenant] = (pcs, targets)
         total_batches += meta.seq
     if total_batches != covered:
         raise ServiceError(
             f"{origin}: tenants hold {total_batches} batches but "
             f"journal_records says {covered}")
-    return {"payload": payload, "metas": metas, "streams": streams}
+    return {"payload": payload, "metas": metas}
 
 
 def _state_names(spec: str, origin: str) -> set:
@@ -226,13 +183,15 @@ def _check_state(columns: dict, names: set) -> None:
 
 
 def validate_checkpoint_file(path: PathLike) -> Tuple[dict, str]:
-    """Registry validator of ``repro-shard-snapshot/1`` (``repro verify``)."""
+    """Registry validator of ``repro-shard-snapshot/2`` (``repro verify``)."""
     loaded = load_checkpoint(path)
     payload = loaded["payload"]
+    warm = sum(entry.get("predictor") is not None
+               for entry in payload["tenants"].values())
     return loaded, (f"shard {payload['shard']}: covers "
                     f"{payload['journal_records']} record(s), "
-                    f"{len(payload['tenants'])} tenant(s), CRC + digest "
-                    f"chains verified")
+                    f"{len(payload['tenants'])} tenant(s) ({warm} with "
+                    f"table state), CRC + digest chains verified")
 
 
 def load_checkpoint(path: PathLike, shard_id: Optional[int] = None,
@@ -268,9 +227,8 @@ def quarantine_checkpoint(path: PathLike, reason: str) -> Path:
 def restore_predictor(entry: dict, spec: str) -> Optional[object]:
     """A ``spec`` predictor loaded from a tenant's exported state.
 
-    ``None`` — the tenant is then adopted cold and rebuilt by replay —
-    when the entry has no state, holds an older writer's pickle blob
-    (never loaded), or its columns do not fit the spec.
+    ``None`` — the tenant is then rebuilt on its next batch — when the
+    entry has no state or its columns do not fit the spec.
     """
     state = entry.get("predictor")
     if not isinstance(state, dict):
@@ -281,57 +239,3 @@ def restore_predictor(entry: dict, spec: str) -> Optional[object]:
     except StateError:
         return None
     return predictor
-
-
-def read_tenant_streams(
-        path: PathLike, tenants: Collection[str],
-) -> Dict[str, Tuple[List[int], List[int]]]:
-    """Stream columns of ``tenants`` from an already-validated checkpoint.
-
-    One parse of the file, however many tenants are asked for.  Used by
-    the shard's reload fallback and compaction: the file passed full
-    validation at recovery (or was just written by this process), and a
-    replayed reload re-checks event/miss counts, so a light parse is safe
-    here.  Tenants the checkpoint does not hold yield empty columns.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = payload.get("tenants", {})
-    streams: Dict[str, Tuple[List[int], List[int]]] = {}
-    for tenant in tenants:
-        entry = entries.get(tenant)
-        if entry is None:
-            streams[tenant] = ([], [])
-            continue
-        where = f"{path}: tenant {tenant!r}"
-        streams[tenant] = (list(_decode_columns(entry["pcs"], where)),
-                           list(_decode_columns(entry["targets"], where)))
-    return streams
-
-
-def base_records(payload: dict) -> List[dict]:
-    """Synthesize the accept records a checkpoint compacted away.
-
-    Rebuilds, from each tenant's batch ``bounds`` and stream columns,
-    journal records equivalent to the full prefix the checkpoint covers
-    (tenant-sorted; per-tenant order — the only order digests depend on
-    — is exact).  ``base_records(snapshot) + journal tail`` is therefore
-    a complete replay input, which is how ``repro replay`` and ``repro
-    verify`` audit a compacted run.
-    """
-    records: List[dict] = []
-    for tenant in sorted(payload.get("tenants", {})):
-        entry = payload["tenants"][tenant]
-        where = f"checkpoint tenant {tenant!r}"
-        pcs = _decode_columns(entry["pcs"], where)
-        targets = _decode_columns(entry["targets"], where)
-        offset = 0
-        for bid, count in entry["bounds"]:
-            records.append({
-                "kind": "accept",
-                "tenant": tenant,
-                "bid": bid,
-                "pcs": list(pcs[offset:offset + count]),
-                "targets": list(targets[offset:offset + count]),
-            })
-            offset += count
-    return records

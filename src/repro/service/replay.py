@@ -10,14 +10,13 @@ compactions.  ``repro replay`` materialises that oracle as a
 (directly via the parsed journals, or across run directories via
 ``--against``).
 
-**Compacted runs.**  A journal whose header carries ``base > 0`` no
-longer starts at record zero: the covered prefix was deleted after a
-durable ``repro-shard-snapshot/1`` checkpoint.  Replay then reconstructs
-the full logical record sequence as ``base_records(checkpoint) + tail``
-— the checkpoint's per-tenant batch bounds and stream columns are
-exactly the records it compacted away (see
-:func:`repro.service.checkpoint.base_records`) — so the oracle still
-replays from genesis and still proves the same digests.
+**Segmented journals.**  Compaction seals a shard's live journal segment
+(renames it, unchanged, to ``sealed-<k>-<base>.jsonl``) and starts the
+next one at the checkpoint's watermark, so a shard's history from
+genesis is its sealed segments in base order followed by the live
+``journal-<k>.jsonl``.  Replay reads exactly that and needs no
+checkpoint; a missing sealed segment is a gap in the bases and is
+refused (:func:`repro.service.state.join_segments`).
 
 **Kernel.**  Replay is the one service path that is *from-reset* by
 construction, so it routes through the offline engine's
@@ -36,15 +35,56 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..core.factory import predictor_from_spec
 from ..errors import ServiceError
 from ..sim.engine import resolve_kernel
-from .checkpoint import (
-    base_records, checkpoint_path, load_checkpoint, prev_checkpoint_path,
-)
-from .shard import journal_path
+from .shard import find_sealed, journal_path
 from .state import (
-    TENANTS_SCHEMA, TenantMeta, journal_base, read_service_journal,
+    TENANTS_SCHEMA, TenantMeta, join_segments, read_service_journal,
 )
 
 PathLike = Union[str, Path]
+
+
+def replay_shard(
+    spec: str, records: List[dict], kernel: str = "auto",
+) -> Dict[str, Tuple[TenantMeta, Optional[object]]]:
+    """Replay one shard's records from reset: ``tenant -> (meta, predictor)``.
+
+    ``meta`` holds the counters and digest a live shard would hold after
+    ``records``.  Where ``kernel`` allows and the spec supports it, the
+    miss totals come from one vectorized pass over each tenant's
+    concatenated stream (bit-identical by the kernel-equivalence
+    contract; the per-batch miss splits are irrelevant, digests cover
+    only cumulative misses) and ``predictor`` is ``None``.  Otherwise
+    each tenant runs through its own event-engine predictor, returned
+    warm: the one whose exported state a checkpoint at that point holds.
+    """
+    chosen, config = "event", None
+    if kernel != "event":
+        probe = predictor_from_spec(spec)
+        chosen, _ = resolve_kernel(probe, kernel=kernel)
+        config = getattr(probe, "config", None)
+    tenants: Dict[str, Tuple[TenantMeta, Optional[object]]] = {}
+    streams: Dict[str, Tuple[List[int], List[int]]] = {}
+    for record in records:
+        tenant = record["tenant"]
+        pcs, targets = record["pcs"], record["targets"]
+        if tenant not in tenants:
+            tenants[tenant] = (TenantMeta(), None if chosen == "batch"
+                               else predictor_from_spec(spec))
+        meta, predictor = tenants[tenant]
+        if predictor is not None:
+            meta.absorb(record["bid"], pcs, targets,
+                        predictor.run_trace(pcs, targets))
+            continue
+        meta.absorb(record["bid"], pcs, targets, 0)
+        tenant_pcs, tenant_targets = streams.setdefault(tenant, ([], []))
+        tenant_pcs.extend(pcs)
+        tenant_targets.extend(targets)
+    if streams:
+        from ..sim.kernel import batch_run_trace
+        for tenant, (tenant_pcs, tenant_targets) in streams.items():
+            tenants[tenant][0].misses = batch_run_trace(
+                config, tenant_pcs, tenant_targets)
+    return tenants
 
 
 def replay_records(
@@ -57,44 +97,13 @@ def replay_records(
     ``shard_records`` maps shard id to that shard's accept records in
     journal order (batch order within a tenant is total because one
     shard owns the tenant).  Mirrors the live path exactly: predict +
-    update per event, fold each batch into the running digest.  With
-    ``kernel`` ``"auto"``/``"batch"`` the per-tenant miss totals come
-    from one vectorized pass over the concatenated stream where the
-    spec supports it — bit-identical by the kernel-equivalence contract.
+    update per event, fold each batch into the running digest (see
+    :func:`replay_shard` for ``kernel``).
     """
-    chosen, config = "event", None
-    if kernel != "event":
-        probe = predictor_from_spec(spec)
-        chosen, _ = resolve_kernel(probe, kernel=kernel)
-        config = getattr(probe, "config", None)
     tenants: Dict[str, dict] = {}
     for shard_id in sorted(shard_records):
-        predictors: Dict[str, object] = {}
-        metas: Dict[str, TenantMeta] = {}
-        streams: Dict[str, Tuple[List[int], List[int]]] = {}
-        for record in shard_records[shard_id]:
-            tenant = record["tenant"]
-            pcs, targets = record["pcs"], record["targets"]
-            if tenant not in metas:
-                metas[tenant] = TenantMeta()
-            if chosen == "batch":
-                metas[tenant].absorb(record["bid"], pcs, targets, 0)
-                tenant_pcs, tenant_targets = streams.setdefault(
-                    tenant, ([], []))
-                tenant_pcs.extend(pcs)
-                tenant_targets.extend(targets)
-                continue
-            predictor = predictors.get(tenant)
-            if predictor is None:
-                predictor = predictors[tenant] = predictor_from_spec(spec)
-            misses = predictor.run_trace(pcs, targets)
-            metas[tenant].absorb(record["bid"], pcs, targets, misses)
-        if chosen == "batch":
-            from ..sim.kernel import batch_run_trace
-            for tenant, (tenant_pcs, tenant_targets) in streams.items():
-                metas[tenant].misses = batch_run_trace(
-                    config, tenant_pcs, tenant_targets)
-        for tenant, meta in metas.items():
+        replayed = replay_shard(spec, shard_records[shard_id], kernel)
+        for tenant, (meta, _) in replayed.items():
             if tenant in tenants:
                 raise ServiceError(
                     f"tenant {tenant!r} appears in more than one shard "
@@ -105,7 +114,7 @@ def replay_records(
 
 
 def find_journals(run_dir: PathLike) -> Dict[int, Path]:
-    """The shard journals of a serving run directory, keyed by shard id."""
+    """The live shard journals of a serving run directory, by shard id."""
     run_dir = Path(run_dir)
     journals: Dict[int, Path] = {}
     for path in sorted(run_dir.glob("journal-*.jsonl")):
@@ -116,65 +125,28 @@ def find_journals(run_dir: PathLike) -> Dict[int, Path]:
     return journals
 
 
-def logical_records(run_dir: PathLike, shard_id: int, header: dict,
-                    records: List[dict]) -> List[dict]:
-    """The full from-genesis record sequence of one (possibly compacted)
-    shard journal: checkpoint base records + the uncovered tail.
-
-    For an uncompacted journal (``base`` 0, no checkpoint) this is just
-    ``records``.  Otherwise the newest checkpoint that validates *and*
-    connects to the journal segment supplies the prefix; with ``base >
-    0`` and no such checkpoint the history is unrecoverable and this
-    raises — exactly the condition the live salvage ladder refuses too.
-    """
-    path = journal_path(Path(run_dir), shard_id)
-    base = journal_base(header, str(path))
-    total = base + len(records)
-    candidates = [checkpoint_path(run_dir, shard_id),
-                  prev_checkpoint_path(run_dir, shard_id)]
-    last_error: Optional[ServiceError] = None
-    for candidate in candidates:
-        if not candidate.exists():
-            continue
-        try:
-            loaded = load_checkpoint(candidate, shard_id=shard_id,
-                                     spec=header.get("spec"))
-            covered = loaded["payload"]["journal_records"]
-            if not base <= covered <= total:
-                raise ServiceError(
-                    f"{candidate}: covers {covered} records but the "
-                    f"journal segment spans [{base}, {total})")
-        except ServiceError as exc:
-            last_error = exc
-            continue
-        return base_records(loaded["payload"]) + records[covered - base:]
-    if base:
-        raise ServiceError(
-            f"{path}: {base} records compacted away and no valid "
-            f"checkpoint covers them"
-            + (f" (last candidate: {last_error})" if last_error else "")
-        )
-    return records
-
-
 def replay_run(run_dir: PathLike,
                kernel: str = "auto") -> Tuple[str, Dict[str, dict]]:
-    """Replay every journal in ``run_dir`` -> (spec, tenants mapping)."""
-    journals = find_journals(run_dir)
-    if not journals:
+    """Replay every shard's segments in ``run_dir`` -> (spec, tenants)."""
+    run_dir = Path(run_dir)
+    shards = sorted(set(find_journals(run_dir)) | set(find_sealed(run_dir)))
+    if not shards:
         raise ServiceError(f"{run_dir}: no journal-*.jsonl to replay")
     spec: str = ""
     shard_records: Dict[int, List[dict]] = {}
-    for shard_id, path in journals.items():
-        header, records = read_service_journal(path)
-        if spec and header["spec"] != spec:
+    sealed = find_sealed(run_dir)
+    for shard_id in shards:
+        live = journal_path(run_dir, shard_id)
+        paths = list(sealed.get(shard_id, {}).values())
+        segments = [read_service_journal(path)
+                    for path in paths + ([live] if live.exists() else [])]
+        spec = spec or segments[0][0]["spec"]
+        if segments[0][0]["spec"] != spec:
             raise ServiceError(
-                f"{path}: spec {header['spec']!r} disagrees with "
-                f"{spec!r} from an earlier journal"
-            )
-        spec = header["spec"]
-        shard_records[shard_id] = logical_records(run_dir, shard_id,
-                                                  header, records)
+                f"shard {shard_id}: spec {segments[0][0]['spec']!r} "
+                f"disagrees with {spec!r} from an earlier journal")
+        shard_records[shard_id] = join_segments(
+            segments, origin=f"shard {shard_id} journal")
     return spec, replay_records(spec, shard_records, kernel=kernel)
 
 

@@ -67,7 +67,7 @@ from ..runtime.telemetry import Tracer
 from ..runtime.verify import write_manifest
 from .protocol import read_frame, shard_for, write_frame
 from .checkpoint import checkpoint_path
-from .shard import shard_main, snapshot_path, journal_path
+from .shard import find_sealed, journal_path, shard_main, snapshot_path
 from .state import (
     METRICS_STREAM_SCHEMA, SERVICE_METRICS_SCHEMA, SHEDS_SCHEMA,
     TENANTS_SCHEMA, valid_tenant,
@@ -160,8 +160,8 @@ class PredictionServer:
         stats_interval: cadence (seconds) of shard snapshot publishing
             and of the server's ``metrics-stream.jsonl`` appends.
         checkpoint_interval: applied batches between shard recovery
-            checkpoints (``repro-shard-snapshot/1``) + journal
-            compactions; 0 disables checkpointing.
+            checkpoints (``repro-shard-snapshot/2``), each sealing the
+            live journal segment; 0 disables checkpointing.
     """
 
     def __init__(
@@ -494,6 +494,9 @@ class PredictionServer:
         elif kind == "metrics":
             _, shard_id, snapshot = message
             self._shard_metrics[shard_id] = snapshot
+        elif kind == "span":
+            _, name, seconds, attrs = message
+            self.tracer.record_span(name, seconds, **attrs)
         elif kind == "event":
             _, name, attrs = message
             self.tracer.event(name, **attrs)
@@ -725,10 +728,13 @@ class PredictionServer:
         if self._metrics_stream is not None:
             self._metrics_stream.close()
         self._write_metrics()
-        self._collect_degradations()
-        self._write_run_manifest()
+        # The trace log is final before the manifest hashes it.
+        self.tracer.record_span("serve", time.monotonic() - self._started_at,
+                                shards=len(self._shards))
         self.tracer.event("server_stop", **self.counters)
         self.tracer.close()
+        self._collect_degradations()
+        self._write_run_manifest()
         return 3 if self.degradations else 0
 
     def _stop_shard(self, shard: _Shard) -> None:
@@ -857,6 +863,11 @@ class PredictionServer:
         stream_path = self.run_dir / "metrics-stream.jsonl"
         if stream_path.exists():
             artifacts["service_metrics_stream"] = stream_path
+        sealed = find_sealed(self.run_dir)
+        segments = [path for shard in self._shards
+                    for path in sealed.get(shard.id, {}).values()]
+        for index, path in enumerate(segments):
+            artifacts[f"service_segment.{index}"] = path
         for shard in self._shards:
             artifacts[f"service_journal.{shard.id}"] = journal_path(
                 self.run_dir, shard.id)

@@ -16,14 +16,14 @@ Per batch it runs the exactly-once ladder:
    state the run could not re-prove is never created;
 4. **apply** — predict/update through the tenant's predictor, fold the
    batch into the running digest;
-5. **churn** — a fired ``tenant.churn`` fault force-evicts the tenant's
-   state to the trace cache, exercising the evict/reload path under
+5. **churn** — a fired ``tenant.churn`` fault force-evicts the tenant,
+   parking its table state, exercising the evict/reload path under
    load.
 
 On a stop sentinel the shard writes its final per-tenant snapshot
-(``tenants-<k>.json``) atomically and exits.  On startup it replays its
-journal, which is also how a respawned shard recovers everything its
-predecessor accepted.
+(``tenants-<k>.json``) atomically and exits.  On startup it loads its
+checkpoint and replays the journal past it, which is also how a
+respawned shard recovers everything its predecessor accepted.
 
 **Observability.**  Every shard owns a
 :class:`~repro.runtime.metrics.MetricsRegistry` whose instruments are
@@ -45,24 +45,20 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.factory import predictor_from_spec
 from ..errors import ReproError, ServiceError
 from ..runtime import chaos
-from ..runtime.cache import TraceCache
 from ..runtime.metrics import MetricsRegistry
 from ..runtime.records import atomic_file, synced_file
 from ..runtime.telemetry import Tracer
-from ..sim.engine import resolve_kernel
 from .checkpoint import (
     build_checkpoint, checkpoint_path, load_checkpoint,
-    prev_checkpoint_path, quarantine_checkpoint, read_tenant_streams,
-    restore_predictor,
+    prev_checkpoint_path, quarantine_checkpoint, restore_predictor,
 )
 from .state import (
-    ShardJournal, TENANTS_SCHEMA, TenantMeta, TenantState, TenantStore,
-    valid_tenant,
+    ShardJournal, TENANTS_SCHEMA, TenantState, TenantStore, canonical_json,
+    join_segments, journal_base, read_service_journal, valid_tenant,
 )
 
 #: Completed steps of the compaction protocol, in order; the
@@ -71,8 +67,8 @@ COMPACTION_STEPS = (
     "checkpoint_temp_written",    # 0: payload fsync'd to snapshot tmp
     "checkpoint_rotated",         # 1: old checkpoint renamed to .prev
     "checkpoint_published",       # 2: tmp renamed over the checkpoint
-    "journal_segment_written",    # 3: compacted journal fsync'd to .compact
-    "journal_swapped",            # 4: .compact renamed over the journal
+    "journal_sealed",             # 3: live segment renamed sealed-*
+    "journal_opened",             # 4: fresh live segment at base W
 )
 
 #: Seconds a shard blocks on its request queue before orphan-checking.
@@ -80,7 +76,25 @@ _POLL_SECONDS = 0.2
 
 
 def journal_path(run_dir: Path, shard_id: int) -> Path:
+    """The shard's live journal segment."""
     return Path(run_dir) / f"journal-{shard_id}.jsonl"
+
+
+def sealed_path(run_dir: Path, shard_id: int, base: int) -> Path:
+    """Where the segment starting at absolute record ``base`` is sealed."""
+    return Path(run_dir) / f"sealed-{shard_id}-{base}.jsonl"
+
+
+def find_sealed(run_dir: Path) -> Dict[int, Dict[int, Path]]:
+    """Every shard's sealed journal segments: ``{shard: {base: path}}``,
+    both in ascending order."""
+    found: Dict[int, Dict[int, Path]] = {}
+    for path in Path(run_dir).glob("sealed-*-*.jsonl"):
+        shard, _, base = path.stem[len("sealed-"):].partition("-")
+        if shard.isdigit() and base.isdigit():
+            found.setdefault(int(shard), {})[int(base)] = path
+    return {shard: dict(sorted(paths.items()))
+            for shard, paths in sorted(found.items())}
 
 
 def snapshot_path(run_dir: Path, shard_id: int) -> Path:
@@ -91,19 +105,21 @@ class ShardCore:
     """The testable heart of a shard: queues and processes stripped away.
 
     Startup runs the **salvage ladder** (newest checkpoint → previous
-    checkpoint → full journal replay), then replays the journal tail —
-    so recovery cost is O(events since the last checkpoint).  Every
+    checkpoint → full replay of the journal segments from genesis), then
+    replays the journal tail past the checkpoint — so recovery cost is
+    O(table size + events since the last checkpoint).  Every
     ``checkpoint_interval`` applied batches :meth:`compact` writes a
-    fresh ``repro-shard-snapshot/1`` checkpoint and compacts the journal
-    behind it (see :data:`COMPACTION_STEPS`); ``checkpoint_interval`` 0
-    disables checkpointing (the pre-checkpoint behavior).
+    fresh ``repro-shard-snapshot/2`` checkpoint and seals the live
+    journal segment behind it (see :data:`COMPACTION_STEPS`);
+    ``checkpoint_interval`` 0 disables checkpointing.
 
     ``kernel`` is resolved through the offline engine's
-    :func:`~repro.sim.engine.resolve_kernel`: where the vectorized batch
-    kernel supports the spec, *from-reset* full-journal replays run
-    through it (bit-identical by the kernel-equivalence contract);
-    everywhere else — incremental applies, tail replays on warm state,
-    unsupported specs — the event engine is used silently.
+    :func:`~repro.sim.engine.resolve_kernel` when a *from-reset* full
+    replay needs it (so a shard that never replays never imports
+    numpy): where the vectorized batch kernel supports the spec, that
+    replay runs through it (bit-identical by the kernel-equivalence
+    contract); everywhere else — incremental applies, tail replays on
+    warm state, unsupported specs — the event engine is used silently.
     """
 
     def __init__(
@@ -121,18 +137,13 @@ class ShardCore:
         self.run_dir = Path(run_dir)
         self.tracer = tracer or Tracer()
         self.checkpoint_interval = max(int(checkpoint_interval), 0)
-        self.kernel_choice, self._kernel_config = "event", None
-        if kernel != "event":
-            probe = predictor_from_spec(spec)
-            self.kernel_choice, _ = resolve_kernel(probe, kernel=kernel)
-            self._kernel_config = getattr(probe, "config", None)
+        self.kernel = kernel
         self._clean_compaction_strays()
         self.journal = ShardJournal(journal_path(self.run_dir, shard_id),
-                                    shard_id, spec)
-        cache = TraceCache(self.run_dir / "tenant-cache")
-        cache.tracer = self.tracer
+                                    shard_id, spec,
+                                    fresh_base=self._sealed_end)
         self.store = TenantStore(
-            spec, cache, max_resident=max_resident,
+            spec, self.run_dir / "parked", max_resident=max_resident,
             journal_stream=self.stream_for, tracer=self.tracer,
         )
         self.batches = 0
@@ -140,16 +151,10 @@ class ShardCore:
         self.replayed = len(self.journal.replayed)
         self.metrics = MetricsRegistry()
         self.metrics.counter("shard.replayed").inc(self.replayed)
-        # Base checkpoint the journal tail extends: path + covered
-        # watermark (0 / None = no checkpoint, journal is the full
-        # history).  ``_cur_covered`` tracks the validated coverage of
-        # the *current* checkpoint file for the next compaction's lag-one
-        # base; ``_base_is_prev`` marks recovery off the .prev fallback.
-        self._base_path: Optional[Path] = None
-        self._base_covered = 0
-        self._cur_covered: Optional[int] = None
-        self._base_is_prev = False
         self._batches_since_checkpoint = 0
+        #: report of the last completed compaction, for the shard loop to
+        #: forward as a span; it clears it.
+        self.last_compaction: Optional[dict] = None
         self.recovery = self._recover()
         self._synced = {"evictions": 0, "reloads": 0, "reload_replays": 0}
         # Present from the start, so a run with no replayed reload says 0.
@@ -159,19 +164,28 @@ class ShardCore:
     # -- recovery ------------------------------------------------------------
 
     def _clean_compaction_strays(self) -> None:
-        """Unlink half-written temp files from a crash mid-compaction.
+        """Unlink a half-written checkpoint temp from a crash mid-compaction.
 
-        Both temp artifacts (checkpoint ``.tmp``, journal ``.compact``)
-        are only ever *sources* of an ``os.replace``; one left on disk
-        means the crash landed before its publish step, so the published
-        files are the truth and the stray is garbage.
+        The temp is only ever the *source* of an ``os.replace``; one left
+        on disk means the crash landed before its publish step, so the
+        published files are the truth and the stray is garbage.
         """
         cur = checkpoint_path(self.run_dir, self.shard_id)
-        journal = journal_path(self.run_dir, self.shard_id)
-        for stray in (cur.with_name(cur.name + ".tmp"),
-                      journal.with_name(journal.name + ".compact")):
-            if stray.exists():
-                stray.unlink()
+        stray = cur.with_name(cur.name + ".tmp")
+        if stray.exists():
+            stray.unlink()
+
+    def _sealed_end(self) -> int:
+        """Where the sealed segments end: the base of a fresh live segment.
+
+        Asked for only when the live segment has no committed header — a
+        crash between sealing it and opening the next one.
+        """
+        sealed = find_sealed(self.run_dir).get(self.shard_id)
+        if not sealed:
+            return 0
+        header, records = read_service_journal(sealed[max(sealed)])
+        return journal_base(header, str(sealed[max(sealed)])) + len(records)
 
     def _recover(self) -> dict:
         """Salvage ladder + tail replay; returns the recovery report."""
@@ -191,10 +205,6 @@ class ShardCore:
                 result = load_checkpoint(path, shard_id=self.shard_id,
                                          spec=self.spec)
                 covered = result["payload"]["journal_records"]
-                if covered < self.journal.base:
-                    raise ServiceError(
-                        f"{path}: covers {covered} records but the journal "
-                        f"already compacted {self.journal.base}")
                 if covered > self.journal.total_records:
                     raise ServiceError(
                         f"{path}: covers {covered} records but the journal "
@@ -212,43 +222,28 @@ class ShardCore:
                 continue
             loaded = result
             info["source"] = source
-            self._base_path = path
-            self._base_covered = covered
-            self._base_is_prev = source == "checkpoint_prev"
-            self._cur_covered = covered if source == "checkpoint" else None
             break
-        if loaded is not None:
-            payload = loaded["payload"]
-            for tenant, meta in loaded["metas"].items():
-                predictor = restore_predictor(payload["tenants"][tenant],
-                                              self.spec)
-                state = None
-                if predictor is not None:
-                    pcs, targets = loaded["streams"][tenant]
-                    state = TenantState.restore(predictor, pcs, targets)
-                self.store.adopt(tenant, meta, state)
-            tail = self.journal.records[
-                self._base_covered - self.journal.base:]
-            for record in tail:
-                self.store.replay_batch(record["tenant"], record["bid"],
-                                        record["pcs"], record["targets"])
-            info["tail_records"] = len(tail)
-            info["tail_events"] = sum(len(r["pcs"]) for r in tail)
-        elif self.journal.base:
-            # Every checkpoint failed and the journal prefix is gone:
-            # nothing can re-prove the compacted records.  Refuse loudly
-            # rather than serve unauditable state.
+        try:
+            if loaded is not None:
+                tail = self._history_from(covered)
+            else:
+                tail = self._history_from(0)
+                if tail:
+                    info["source"] = "journal"
+        except ServiceError as exc:
+            # The records past every usable checkpoint are gone: nothing
+            # can re-prove them.  Refuse loudly rather than serve
+            # unauditable state.
             raise ServiceError(
-                f"shard {self.shard_id}: journal compacted to base "
-                f"{self.journal.base} but no valid checkpoint covers it "
-                f"(fallbacks: {info['fallbacks']})"
-            )
-        elif self.journal.records:
-            info["source"] = "journal"
-            info["tail_records"] = len(self.journal.records)
-            info["tail_events"] = sum(
-                len(r["pcs"]) for r in self.journal.records)
-            self._replay_full_journal()
+                f"shard {self.shard_id}: cannot recover past a missing or "
+                f"corrupt sealed journal segment (fallbacks: "
+                f"{info['fallbacks']}): {exc}") from None
+        info["tail_records"] = len(tail)
+        info["tail_events"] = sum(len(r["pcs"]) for r in tail)
+        if loaded is not None:
+            self._adopt_checkpoint(loaded, tail)
+        elif tail:
+            self._replay_full_history(tail)
         info["seconds"] = round(time.perf_counter() - started, 6)
         if info["source"] != "fresh":
             self.metrics.counter("shard.recoveries").inc()
@@ -263,100 +258,100 @@ class ShardCore:
         self.tracer.event("shard_recovered", shard=self.shard_id, **info)
         return info
 
-    def _replay_full_journal(self) -> None:
-        """From-reset replay of the whole journal (base 0).
+    def _history_from(self, start: int) -> List[dict]:
+        """Accepted records from absolute index ``start`` on.
 
-        The one replay shape the vectorized batch kernel supports: every
-        tenant starts from reset, so per-tenant misses equal one
-        ``batch_run_trace`` over the concatenated stream.  Tenants are
-        adopted *cold* (counters + digest chain; predictors rebuild
-        lazily by replay on first touch).  Where the kernel is
-        unavailable the event engine replays warm, exactly as before.
+        The live segment alone when it reaches back that far (the normal
+        recovery); otherwise also the sealed segments holding records at
+        or after ``start`` — their names carry their bases, so no other
+        is read.  Raises :class:`~repro.errors.ServiceError` when a
+        needed sealed segment is missing or unreadable.
         """
-        records = self.journal.records
-        if self.kernel_choice != "batch" or not records:
-            for record in records:
-                self.store.replay_batch(record["tenant"], record["bid"],
-                                        record["pcs"], record["targets"])
-            return
-        from ..sim.kernel import batch_run_trace
-        metas: Dict[str, TenantMeta] = {}
-        streams: Dict[str, Tuple[List[int], List[int]]] = {}
-        for record in records:
+        journal = self.journal
+        if start >= journal.base:
+            return journal.records[start - journal.base:]
+        sealed = find_sealed(self.run_dir).get(self.shard_id, {})
+        first = max((base for base in sealed if base <= start), default=0)
+        segments = [read_service_journal(path)
+                    for base, path in sealed.items() if base >= first]
+        segments.append(({"shard": self.shard_id, "spec": self.spec,
+                          "base": journal.base}, journal.records))
+        return join_segments(segments, start,
+                             origin=f"shard {self.shard_id} journal")
+
+    def _adopt_checkpoint(self, loaded: dict, tail: List[dict]) -> None:
+        """Install a checkpoint's tenants, then replay the tail past it.
+
+        Tenants with table state restart warm; the rest keep counters
+        and chain only.  A parked tenant whose park file already covers
+        some of its tail batches takes that point without replaying them
+        (:meth:`~repro.service.state.TenantStore.roll_forward`).
+        """
+        entries = loaded["payload"]["tenants"]
+        for tenant, meta in loaded["metas"].items():
+            predictor = restore_predictor(entries[tenant], self.spec)
+            self.store.adopt(tenant, meta, None if predictor is None
+                             else TenantState(self.spec, predictor))
+        pending: Dict[str, List[dict]] = {}
+        for record in tail:
+            pending.setdefault(record["tenant"], []).append(record)
+        skip = {tenant: self.store.roll_forward(tenant, records)
+                for tenant, records in pending.items()}
+        for record in tail:
             tenant = record["tenant"]
-            meta = metas.setdefault(tenant, TenantMeta())
-            meta.absorb(record["bid"], record["pcs"], record["targets"], 0)
-            pcs, targets = streams.setdefault(tenant, ([], []))
-            pcs.extend(record["pcs"])
-            targets.extend(record["targets"])
-        for tenant, meta in metas.items():
-            pcs, targets = streams[tenant]
-            meta.misses = batch_run_trace(self._kernel_config, pcs, targets)
-            self.store.adopt(tenant, meta)
+            if skip.get(tenant):
+                skip[tenant] -= 1
+                continue
+            self.store.replay_batch(tenant, record["bid"], record["pcs"],
+                                    record["targets"])
+
+    def _replay_full_history(self, records: List[dict]) -> None:
+        """From-reset replay of a shard's whole history (every segment).
+
+        :func:`~repro.service.replay.replay_shard` runs it — through the
+        batch kernel where ``kernel`` allows and the spec supports it;
+        those tenants keep counters + digest chain only and rebuild on
+        first touch.  Event-engine replays come back warm and are
+        installed resident (the least recent parked beyond the budget).
+        """
+        from .replay import replay_shard
+
+        for tenant, (meta, predictor) in replay_shard(
+                self.spec, records, self.kernel).items():
+            self.store.adopt(tenant, meta, None if predictor is None
+                             else TenantState(self.spec, predictor))
 
     def stream_for(self, tenant: str) -> Tuple[List[int], List[int]]:
-        """A tenant's full accepted stream: checkpoint base + journal tail.
+        """A tenant's full accepted stream, read from every journal segment.
 
         The reload fallback :class:`~repro.service.state.TenantStore`
-        uses when the trace cache cannot serve a parked stream.
+        uses when a tenant has no parked state bound to its counters —
+        O(history), so it is the exception: specs whose keys do not fit
+        ``int64`` columns, a lost or stale park file.
         """
-        return self._streams([tenant])[tenant]
-
-    def _streams(self, tenants: Sequence[str]
-                 ) -> Dict[str, Tuple[List[int], List[int]]]:
-        """Full accepted streams of ``tenants``: one base checkpoint parse
-        plus one pass over the live journal records after it.
-
-        Without a checkpoint the journal records are the whole history.
-        """
-        if self._base_path is None or not tenants:
-            streams = {tenant: ([], []) for tenant in tenants}
-        else:
-            streams = read_tenant_streams(self._base_path, tenants)
-        skip = self._base_covered - self.journal.base
-        for record in self.journal.records[skip:]:
-            stream = streams.get(record["tenant"])
-            if stream is not None:
-                stream[0].extend(record["pcs"])
-                stream[1].extend(record["targets"])
-        return streams
+        pcs: List[int] = []
+        targets: List[int] = []
+        for record in self._history_from(0):
+            if record["tenant"] == tenant:
+                pcs.extend(record["pcs"])
+                targets.extend(record["targets"])
+        return pcs, targets
 
     # -- checkpoint + compaction ---------------------------------------------
 
-    def _checkpoint_tenants(self) -> Dict[str, tuple]:
-        """Assemble ``tenant -> (meta, pcs, targets, predictor)`` to freeze.
-
-        Resident tenants contribute their live predictor (its state is
-        exported into the checkpoint so recovery restarts warm); parked
-        tenants contribute stream columns only — all read with one parse
-        of the base checkpoint — and are adopted cold.
-        """
-        parked = [tenant for tenant in self.store.meta
-                  if self.store.resident_state(tenant) is None]
-        streams = self._streams(parked)
-        frozen: Dict[str, tuple] = {}
-        for tenant, meta in self.store.meta.items():
-            state = self.store.resident_state(tenant)
-            if state is not None:
-                frozen[tenant] = (meta, state.pcs, state.targets,
-                                  state.predictor)
-            else:
-                frozen[tenant] = (meta, *streams[tenant], None)
-        return frozen
-
     def compact(self, crash_after_step: Optional[int] = None) -> dict:
-        """Checkpoint the shard and compact the journal behind it.
+        """Checkpoint the shard's state and seal the journal segment behind it.
 
         The five steps of :data:`COMPACTION_STEPS` are each individually
         crash-safe: a crash after any step recovers bit-identically,
         because every step either writes to a temp name (cleaned as a
-        stray) or is an atomic ``os.replace`` between two states that
-        both satisfy the recovery invariant *base(journal) <= covered(a
-        valid retained checkpoint) <= total records*.  Retention lags by
-        one — the previous checkpoint is kept at ``.prev`` and the new
-        journal base is *its* watermark — so salvage of a corrupt
-        current checkpoint always finds a fallback that still connects
-        to the journal.
+        stray) or is one atomic ``os.replace``, and every state between
+        them keeps a valid checkpoint whose watermark the journal
+        segments reach.  Nothing is rewritten or deleted: the sealed
+        segment keeps its bytes, and the previous checkpoint stays at
+        ``.prev`` (lag-one retention) as the salvage ladder's fallback.
+        The cost is O(tenants x table size), however long the shard has
+        run.
 
         ``crash_after_step=N`` (tests) stops after step N completes,
         leaving the run directory exactly as a SIGKILL there would; the
@@ -381,22 +376,17 @@ class ShardCore:
         cur = checkpoint_path(self.run_dir, self.shard_id)
         prev = prev_checkpoint_path(self.run_dir, self.shard_id)
         covered = self.journal.total_records
-        # Lag-one retention: the new journal base is the watermark of
-        # whatever will occupy the .prev slot after rotation.
-        if cur.exists() and self._cur_covered is not None:
-            new_base = self._cur_covered
-        elif self._base_is_prev:
-            new_base = self._base_covered
-        else:
-            new_base = 0
-        payload = build_checkpoint(self.shard_id, self.spec, covered,
-                                   self._checkpoint_tenants())
+        base = self.journal.base
+        frozen = {}
+        for tenant, meta in self.store.meta.items():
+            state = self.store.resident_state(tenant)
+            frozen[tenant] = (meta, state.predictor if state else None)
+        payload = build_checkpoint(self.shard_id, self.spec, covered, frozen)
         report = {"completed": False, "journal_records": covered,
-                  "base": new_base}
+                  "base": base}
         scratch = cur.with_name(cur.name + ".tmp")
-        with synced_file(scratch, "w") as sink:               # step 0
-            json.dump(payload, sink, indent=2, sort_keys=True)
-            sink.write("\n")
+        with synced_file(scratch) as sink:                    # step 0
+            sink.write(canonical_json(payload) + b"\n")
         if crashed(0):
             return report
         if cur.exists():
@@ -406,19 +396,16 @@ class ShardCore:
         os.replace(scratch, cur)                              # step 2
         if crashed(2):
             return report
-        segment = self.journal.path.with_name(
-            self.journal.path.name + ".compact")
-        self.journal.write_segment(segment, new_base)         # step 3
-        if crashed(3):
-            return report
-        os.replace(segment, self.journal.path)                # step 4
-        if crashed(4):
-            return report
-        self.journal.reopen_compacted(new_base)               # step 5
-        self._base_path = cur
-        self._base_covered = covered
-        self._cur_covered = covered
-        self._base_is_prev = False
+        if covered > base:
+            # An empty live segment stays live: sealing it would hold
+            # no record and would collide with the next seal's name.
+            self.journal.seal(sealed_path(self.run_dir, self.shard_id,
+                                          base))              # step 3
+            if crashed(3):
+                return report
+            self.journal.open_segment(covered)                # step 4
+            if crashed(4):
+                return report
         self._batches_since_checkpoint = 0
         elapsed = time.perf_counter() - started
         self.metrics.counter("shard.checkpoints").inc()
@@ -426,8 +413,9 @@ class ShardCore:
         self.metrics.histogram("shard.checkpoint_seconds").observe(
             max(elapsed, 1e-9))
         report.update(completed=True, seconds=round(elapsed, 6))
+        self.last_compaction = report
         self.tracer.event("shard_compacted", shard=self.shard_id,
-                          journal_records=covered, base=new_base)
+                          journal_records=covered, base=base)
         return report
 
     def maybe_compact(self) -> Optional[dict]:
@@ -561,6 +549,7 @@ def shard_main(
     targets, want_predictions)``, ``("stats", req_id)``, ``("stop",)``.
     Responses: ``("ok", req_id, reply)``, ``("shed", req_id, reason)``,
     ``("err", req_id, type, message)``, ``("event", name, attrs)``,
+    ``("span", name, seconds, attrs)``,
     ``("stats", req_id, payload)``, ``("metrics", shard_id, snapshot)``,
     ``("stopped", shard_id)``.
     """
@@ -642,6 +631,12 @@ def _shard_loop(core: ShardCore, request_queue, response_queue,
             continue
         elapsed = time.perf_counter() - started
         core.metrics.histogram("shard.batch_seconds").observe(elapsed)
+        if core.last_compaction is not None:
+            report, core.last_compaction = core.last_compaction, None
+            response_queue.put(("span", "compact", report["seconds"], {
+                "shard": core.shard_id,
+                "journal_records": report["journal_records"],
+            }))
         maybe_publish()
         reply["shard_seconds"] = round(elapsed, 6)
         if reply["status"] == "shed":

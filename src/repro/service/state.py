@@ -2,7 +2,7 @@
 
 The serving contract rests on one fact about the paper's predictors:
 their state is a pure function of the applied ``(pc, target)`` event
-stream.  Everything here exploits that.
+stream, held in fixed-size tables.  Everything here exploits that.
 
 * :class:`TenantMeta` — the tiny always-resident record per tenant:
   cumulative counters, the last accepted batch id (the idempotency
@@ -11,80 +11,63 @@ stream.  Everything here exploits that.
   offline replay of the same accepted batches produces the same digest,
   which is how ``repro verify`` proves a served tenant bit-identical to
   one rebuilt from the journal.  The chain link serializes into the
-  ``repro-shard-snapshot/1`` checkpoint, so the fingerprint survives a
+  ``repro-shard-snapshot/2`` checkpoint, so the fingerprint survives a
   crash and resumes over the journal tail.
 
-* :class:`TenantState` — the heavy, *evictable* part: the live predictor
-  plus the accepted stream columns needed to rebuild it.
+* :class:`TenantState` — the heavy, *evictable* part: the live
+  predictor.  No event history is kept; the journal is the only record
+  of it.
 
 * :class:`ShardJournal` — an fsync'd JSONL journal of accepted batches,
-  one per shard.  Batches are journalled **before** they are applied, so
-  a shard SIGKILLed mid-batch either never journalled the batch (the
-  server requeues it; the respawned shard applies it fresh) or did (the
-  respawned shard's replay makes the retry a duplicate).  Either way the
-  batch is applied exactly once.  A journal whose appends start failing
-  flips to ``disabled`` and the shard sheds instead of accepting work it
-  could not re-prove — availability is sacrificed before auditability.
+  one live segment per shard.  Batches are journalled **before** they
+  are applied, so a shard SIGKILLed mid-batch either never journalled
+  the batch (the server requeues it; the respawned shard applies it
+  fresh) or did (the respawned shard's replay makes the retry a
+  duplicate).  Either way the batch is applied exactly once.  A journal
+  whose appends start failing flips to ``disabled`` and the shard sheds
+  instead of accepting work it could not re-prove — availability is
+  sacrificed before auditability.  Compaction *seals* the live segment
+  by renaming it, never rewriting it (:func:`join_segments` joins the
+  segments back into the history from genesis).
 
 * :class:`TenantStore` — bounded residency: at most ``max_resident``
-  tenants keep live predictors; the least recently used is parked in the
-  run's :class:`~repro.runtime.cache.TraceCache` as an ordinary trace
-  whose CRC'd metadata also carries the predictor's exported table state
-  (:mod:`repro.core.columns`), bound to the tenant's ``(events, misses,
+  tenants keep live predictors; the least recently used is *parked*:
+  its predictor's exported table state (:mod:`repro.core.columns`) is
+  written to one CRC'd file, bound to the tenant's ``(events, misses,
   digest)``.  Its next batch reloads it by *importing* that state —
   O(table size), not O(history).  When the binding does not match the
-  live counters, or there is no usable state (a corrupt file, a tenant
-  adopted cold after a crash, the journal fallback), the tenant is
-  rebuilt by replay instead, audited against its counters.
+  live counters, or there is no usable state (a corrupt file, keys too
+  wide for ``int64`` columns), the tenant is rebuilt by replaying its
+  stream from the journal segments instead, audited against its
+  counters.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import os
 import re
 import struct
+import zlib
 from array import array
 from collections import OrderedDict
 from pathlib import Path
 from typing import (
-    Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..core.columns import Columns, decode_columns, encode_columns
 from ..core.factory import predictor_from_spec
 from ..errors import ServiceError, StateError
-from ..runtime.cache import TraceCache
 from ..runtime.chaos import active as active_chaos
 from ..runtime.records import (
-    RecordError, RecordFile, RecordLog, encode_record, read_records,
-    synced_file,
+    RecordError, RecordFile, RecordLog, atomic_file, read_records,
 )
 from ..runtime.telemetry import NULL_TRACER
-from ..workloads.trace import Trace, TraceMetadata
-
-try:  # optional: only used to widen checkpoint columns quickly
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 PathLike = Union[str, Path]
-
-
-def _widened(values: Sequence[int]) -> array:
-    """``array("L")`` copy of a stream column without a per-int loop.
-
-    Checkpoint columns arrive as ``array("I")``; recovery adopts whole
-    tenants at once, so the elementwise widening is worth vectorizing.
-    """
-    if _np is not None and isinstance(values, array) \
-            and values.typecode == "I":
-        wide = array("L")
-        wide.frombytes(
-            _np.frombuffer(values, dtype=_np.uint32)
-            .astype(_np.uint64).tobytes())
-        return wide
-    return array("L", values)
 
 #: JSON schema identifier of a shard's accepted-batch journal.
 JOURNAL_SCHEMA = "repro-service-journal/1"
@@ -116,32 +99,40 @@ def valid_tenant(name: object) -> bool:
     return isinstance(name, str) and bool(TENANT_NAME.match(name))
 
 
+def canonical_json(payload: dict) -> bytes:
+    """The one byte form CRCs are taken over (and files are written in)."""
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def payload_crc(payload: dict) -> int:
+    """CRC32 of the canonical payload with the ``crc32`` field removed."""
+    scrubbed = {key: value for key, value in payload.items()
+                if key != "crc32"}
+    return zlib.crc32(canonical_json(scrubbed)) & 0xFFFFFFFF
+
+
 class TenantMeta:
     """Always-resident tenant record: counters + chained stream hash.
 
-    Survives eviction (it is small), so a tenant parked in the trace
-    cache still answers duplicate checks and digest queries without
-    being rebuilt.
+    Survives eviction (it is small), so a parked tenant still answers
+    duplicate checks and digest queries without being rebuilt.
 
     The stream hash is a SHA-256 *chain* rather than one running
     context: ``chain_{n+1} = sha256(chain_n || header || pcs ||
     targets)`` with :data:`CHAIN_GENESIS` at the root.  A chain link is
     32 opaque bytes, so — unlike an in-flight ``hashlib`` context — the
     whole hash state serializes into a checkpoint and resumes after a
-    crash, which is what makes ``repro-shard-snapshot/1`` possible.
-    ``bounds`` records the ``(bid, events)`` boundary of every accepted
-    batch so a checkpoint can re-synthesize the exact journal records it
-    compacted away.
+    crash, which is what makes ``repro-shard-snapshot/2`` possible.
     """
 
-    __slots__ = ("seq", "events", "misses", "last_bid", "bounds", "_chain")
+    __slots__ = ("seq", "events", "misses", "last_bid", "_chain")
 
     def __init__(self) -> None:
         self.seq = 0          # accepted batches
         self.events = 0       # accepted events
         self.misses = 0       # mispredictions across the accepted stream
         self.last_bid = 0     # idempotency watermark (bids are >= 1)
-        self.bounds: List[Tuple[int, int]] = []  # (bid, events) per batch
         self._chain = CHAIN_GENESIS
 
     def absorb(self, bid: int, pcs: Sequence[int], targets: Sequence[int],
@@ -152,7 +143,6 @@ class TenantMeta:
         step.update(array("I", pcs).tobytes())
         step.update(array("I", targets).tobytes())
         self._chain = step.digest()
-        self.bounds.append((bid, len(pcs)))
         self.seq += 1
         self.events += len(pcs)
         self.misses += misses
@@ -183,67 +173,42 @@ class TenantMeta:
 
     def to_snapshot(self) -> dict:
         """Serialize the full meta — chain link included — for a checkpoint."""
-        return {
-            "seq": self.seq,
-            "events": self.events,
-            "misses": self.misses,
-            "last_bid": self.last_bid,
-            "chain": self._chain.hex(),
-            "digest": self.digest(),
-            "bounds": [[bid, count] for bid, count in self.bounds],
-        }
+        return {**self.to_dict(), "chain": self._chain.hex()}
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "TenantMeta":
         """Rebuild a meta from checkpoint fields, self-checking as it goes.
 
         Raises ``ValueError`` when the fields are internally inconsistent
-        (digest not reproducible from chain + counters, bounds that do
-        not sum to the event count, …) — the salvage ladder treats that
-        exactly like a CRC failure.
+        (a digest not reproducible from chain + counters, a negative
+        counter) — the salvage ladder treats that exactly like a CRC
+        failure.
         """
         meta = cls()
         meta.seq = int(data["seq"])
         meta.events = int(data["events"])
         meta.misses = int(data["misses"])
         meta.last_bid = int(data["last_bid"])
-        meta.bounds = [(int(bid), int(count)) for bid, count in data["bounds"]]
         chain = bytes.fromhex(data["chain"])
         if len(chain) != len(CHAIN_GENESIS):
             raise ValueError(f"chain link is {len(chain)} bytes, not "
                              f"{len(CHAIN_GENESIS)}")
         meta._chain = chain
-        if len(meta.bounds) != meta.seq:
-            raise ValueError(f"{len(meta.bounds)} batch bounds for "
-                             f"{meta.seq} accepted batches")
-        if sum(count for _, count in meta.bounds) != meta.events:
-            raise ValueError("batch bounds do not sum to the event count")
-        if meta.bounds and meta.bounds[-1][0] != meta.last_bid:
-            raise ValueError("final bound bid does not match last_bid")
+        if min(meta.seq, meta.events, meta.misses, meta.last_bid) < 0:
+            raise ValueError("negative counter")
         if meta.digest() != data["digest"]:
             raise ValueError("digest does not match chain + counters")
         return meta
 
 
 class TenantState:
-    """The evictable half of a tenant: live predictor + accepted stream."""
+    """The evictable half of a tenant: its live predictor, nothing else."""
 
-    __slots__ = ("predictor", "pcs", "targets")
+    __slots__ = ("predictor",)
 
-    def __init__(self, spec: str) -> None:
-        self.predictor = predictor_from_spec(spec)
-        self.pcs: array = array("L")
-        self.targets: array = array("L")
-
-    @classmethod
-    def restore(cls, predictor, pcs: Sequence[int],
-                targets: Sequence[int]) -> "TenantState":
-        """Adopt an already-warm predictor (one loaded from checkpoint columns)."""
-        state = cls.__new__(cls)
-        state.predictor = predictor
-        state.pcs = _widened(pcs)
-        state.targets = _widened(targets)
-        return state
+    def __init__(self, spec: str, predictor=None) -> None:
+        self.predictor = (predictor if predictor is not None
+                          else predictor_from_spec(spec))
 
     def apply(
         self,
@@ -260,70 +225,64 @@ class TenantState:
         uses, so live and replayed miss counts cannot drift apart.
         """
         predictor = self.predictor
-        predictions: Optional[List[int]] = None
-        if want_predictions:
-            misses = 0
-            predictions = []
-            for pc, target in zip(pcs, targets):
-                predicted = predictor.predict(pc)
-                predictions.append(predicted if predicted is not None else 0)
-                if predicted != target:
-                    misses += 1
-                predictor.update(pc, target)
-        else:
-            misses = predictor.run_trace(pcs, targets)
-        self.pcs.extend(pcs)
-        self.targets.extend(targets)
+        if not want_predictions:
+            return predictor.run_trace(pcs, targets), None
+        misses = 0
+        predictions = []
+        for pc, target in zip(pcs, targets):
+            predicted = predictor.predict(pc)
+            predictions.append(predicted if predicted is not None else 0)
+            if predicted != target:
+                misses += 1
+            predictor.update(pc, target)
         return misses, predictions
 
     def rebuild(self, pcs: Sequence[int], targets: Sequence[int],
                 columns: Optional[Columns] = None) -> Optional[int]:
-        """Bring this fresh state up to a tenant's full accepted stream.
+        """Bring this fresh state up to a tenant's accepted stream.
 
         With ``columns`` — the predictor state exported when exactly this
         stream was parked — the predictor imports them: O(table size),
-        no event is re-run, and the result is ``None``.  Raises
-        :class:`~repro.errors.StateError` if they do not fit.
+        ``pcs``/``targets`` are not read, and the result is ``None``.
+        Raises :class:`~repro.errors.StateError` if they do not fit.
 
         Without, the stream is replayed and the replayed misprediction
         count returned, so the caller can check it against the tenant's
         running counters — a cheap, continuous determinism audit on
         every replayed reload.
         """
-        misses = None
         if columns is not None:
             self.predictor.import_state(columns)
-        else:
-            misses = self.predictor.run_trace(pcs, targets)
-        self.pcs.extend(pcs)
-        self.targets.extend(targets)
-        return misses
+            return None
+        return self.predictor.run_trace(pcs, targets)
 
 
 # -- the accepted-batch journal ----------------------------------------------
 
 
 class ShardJournal:
-    """Fsync'd JSONL journal of one shard's accepted batches.
+    """Fsync'd JSONL journal of one shard's accepted batches: its live segment.
 
     Line 1 is a header naming the schema, shard, and predictor spec;
     every other line is one accepted batch.  The file is a
     :mod:`~repro.runtime.records` log, so reopening replays the
     committed records, drops a torn tail, and truncates it away before
-    appending again.  A journal with no committed header (the shard was
-    killed while creating it) starts afresh.
+    appending again.
 
-    **Compaction.**  The header also carries ``base``: the number of
-    accepted records that preceded this segment and were compacted away
-    after a durable checkpoint covered them.  Record *i* of the file is
-    therefore absolute record ``base + i`` of the shard's history, and
-    :attr:`total_records` is the absolute watermark a checkpoint quotes.
-    A fresh journal has ``base`` 0; :meth:`write_segment` +
-    :meth:`reopen_compacted` implement the rewrite half of
-    :meth:`repro.service.shard.ShardCore.compact`.
+    **Segments.**  The header also carries ``base``: the absolute index
+    of the segment's first record, i.e. how many accepted records the
+    shard's *sealed* segments before it hold.  Record *i* of the file is
+    absolute record ``base + i``, and :attr:`total_records` is the
+    absolute watermark a checkpoint quotes.  :meth:`seal` renames the
+    live segment away whole (it is never rewritten) and
+    :meth:`open_segment` starts the next one.  A file with no committed
+    header (the shard was killed between the two, or while writing the
+    header) starts afresh at ``fresh_base()`` — the end of the sealed
+    segments, asked for only then.
     """
 
-    def __init__(self, path: PathLike, shard_id: int, spec: str) -> None:
+    def __init__(self, path: PathLike, shard_id: int, spec: str,
+                 fresh_base: Callable[[], int] = lambda: 0) -> None:
         self.path = Path(path)
         self.shard_id = shard_id
         self.spec = spec
@@ -331,8 +290,7 @@ class ShardJournal:
         self.disabled = False
         #: batches recovered from an existing journal, in accept order.
         self.replayed: List[dict] = []
-        #: absolute record count compacted away before this segment.
-        self.base = 0
+        header = None
         committed = 0
         if self.path.exists():
             journal = _read_journal(self.path)
@@ -346,17 +304,19 @@ class ShardJournal:
                         f"{header.get('spec')!r}, not shard {shard_id} "
                         f"spec {spec!r}"
                     )
-                self.base = journal_base(header, str(self.path))
                 self.replayed = journal.records
                 committed = journal.committed
-        self._log = RecordLog(self.path, self._header(0), committed)
+        #: absolute index of this segment's first record.
+        self.base = (journal_base(header, str(self.path))
+                     if header is not None else fresh_base())
+        self._log = RecordLog(self.path, self._header(self.base), committed)
         #: every live record of this segment, in accept order (absolute
-        #: record ``base + i``); appends extend it, compaction trims it.
+        #: record ``base + i``); appends extend it.
         self.records: List[dict] = list(self.replayed)
 
     @property
     def total_records(self) -> int:
-        """Absolute accepted-record watermark (compacted + live)."""
+        """Absolute accepted-record watermark (sealed + live)."""
         return self.base + len(self.records)
 
     def _header(self, base: int) -> dict:
@@ -396,30 +356,17 @@ class ShardJournal:
 
     # -- compaction primitives ----------------------------------------------
 
-    def write_segment(self, path: PathLike, base: int) -> None:
-        """Write a compacted copy of this journal (records >= ``base``).
-
-        Fsync'd but *not* adopted: the caller renames it over
-        :attr:`path` and then calls :meth:`reopen_compacted` — the
-        split lets a crash land between any two steps and still leave
-        either the old or the new segment fully intact.
-        """
-        if base < self.base or base > self.total_records:
-            raise ServiceError(
-                f"cannot compact to base {base}: segment covers "
-                f"[{self.base}, {self.total_records})"
-            )
-        keep = self.records[base - self.base:]
-        with synced_file(path) as sink:
-            for record in [self._header(base)] + keep:
-                sink.write(encode_record(record))
-
-    def reopen_compacted(self, base: int) -> None:
-        """Adopt the compacted segment now sitting at :attr:`path`."""
+    def seal(self, target: PathLike) -> None:
+        """Close the live segment and rename it to ``target``, unchanged."""
         self._log.close()
-        self.records = self.records[base - self.base:]
+        os.replace(self.path, target)
+
+    def open_segment(self, base: int) -> None:
+        """Start a fresh live segment at absolute record ``base``."""
+        self._log.close()
         self.base = base
-        self._log = RecordLog(self.path, committed=self.path.stat().st_size)
+        self.records = []
+        self._log = RecordLog(self.path, self._header(base))
 
     def close(self) -> None:
         self._log.close()
@@ -446,7 +393,7 @@ def _read_journal(path: PathLike) -> RecordFile:
 
 
 def journal_base(header: dict, origin: str) -> int:
-    """The validated ``base`` (compacted-away record count) of a header."""
+    """A header's validated ``base``: its first record's absolute index."""
     base = header.get("base", 0)
     if not isinstance(base, int) or isinstance(base, bool) or base < 0:
         raise ServiceError(f"{origin}: bad journal base {base!r}")
@@ -459,6 +406,43 @@ def read_service_journal(path: PathLike) -> Tuple[dict, List[dict]]:
     if journal.header is None:
         raise ServiceError(f"{path}: empty journal")
     return journal.header, journal.records
+
+
+def join_segments(segments: Iterable[Tuple[dict, List[dict]]],
+                  start: int = 0, origin: str = "journal") -> List[dict]:
+    """One shard's accepted records from absolute index ``start`` on.
+
+    ``segments`` are ``(header, records)`` pairs in base order — sealed
+    segments, then the live one — all of one shard and spec.  Each must
+    begin where the previous one ended and the first at or before
+    ``start``; a gap means a sealed segment is missing, and that history
+    cannot be re-proved, so this raises
+    :class:`~repro.errors.ServiceError`.
+    """
+    joined: List[dict] = []
+    end: Optional[int] = None
+    owner = None
+    for header, records in segments:
+        if owner is None:
+            owner = (header.get("shard"), header.get("spec"))
+        elif (header.get("shard"), header.get("spec")) != owner:
+            raise ServiceError(
+                f"{origin}: a segment of shard {header.get('shard')!r} "
+                f"spec {header.get('spec')!r} among shard {owner[0]!r} "
+                f"spec {owner[1]!r}'s")
+        base = journal_base(header, origin)
+        if (base > start) if end is None else (base != end):
+            raise ServiceError(
+                f"{origin}: a segment starts at record {base} but the "
+                f"history before it ends at {start if end is None else end} "
+                f"(a sealed segment is missing)")
+        end = base + len(records)
+        if end > start:
+            joined.extend(records[max(start - base, 0):])
+    if (end or 0) < start:
+        raise ServiceError(f"{origin}: history ends at record {end or 0}, "
+                           f"before {start}")
+    return joined
 
 
 # -- registry validators (``repro verify``; DESIGN.md §3.9) -------------------
@@ -490,7 +474,7 @@ def validate_service_journal(path: PathLike) -> Tuple[dict, str]:
             raise ServiceError(f"{path}:{number}: malformed accept record")
     return {"header": header, "records": records}, (
         f"shard {header.get('shard')}: {len(records)} accepted batch(es)"
-        + (f", {base} compacted away" if base else ""))
+        + (f" from record {base}" if base else ""))
 
 
 def validate_sheds(path: PathLike) -> Tuple[List[dict], str]:
@@ -610,19 +594,19 @@ class TenantStore:
 
     Args:
         spec: predictor spec every tenant's instance is built from.
-        cache: trace cache evicted tenants are parked in (stream +
-            exported predictor state).
+        park_dir: directory evicted tenants' exported state is parked in
+            (one ``<tenant>.json`` each).
         max_resident: live-predictor budget (LRU beyond it).
         journal_stream: fallback loader (``tenant -> (pcs, targets)``)
-            used when the cache cannot serve a parked stream — normally
-            :meth:`repro.service.shard.ShardCore.stream_for`.
+            used when a tenant has no parked state bound to its counters
+            — normally :meth:`repro.service.shard.ShardCore.stream_for`.
         tracer: telemetry for evict/reload events.
     """
 
     def __init__(
         self,
         spec: str,
-        cache: TraceCache,
+        park_dir: PathLike,
         max_resident: int = 8,
         journal_stream: Optional[
             Callable[[str], Tuple[Sequence[int], Sequence[int]]]] = None,
@@ -632,21 +616,20 @@ class TenantStore:
             raise ServiceError(
                 f"max_resident must be >= 1, got {max_resident}")
         self.spec = spec
-        self.cache = cache
+        self.park_dir = Path(park_dir)
+        self.park_dir.mkdir(parents=True, exist_ok=True)
         self.max_resident = max_resident
         self.journal_stream = journal_stream
         self.tracer = tracer
         self.meta: Dict[str, TenantMeta] = {}
         self._resident: "OrderedDict[str, TenantState]" = OrderedDict()
-        #: tenants adopted cold by recovery; their next reload replays.
-        self._cold: set = set()
         self.evictions = 0
         self.reloads = 0
         #: reloads that replayed the stream instead of importing state.
         self.reload_replays = 0
 
-    def _cache_key(self, tenant: str) -> str:
-        return f"tenant-{tenant}"
+    def park_path(self, tenant: str) -> Path:
+        return self.park_dir / f"{tenant}.json"
 
     def last_bid(self, tenant: str) -> int:
         meta = self.meta.get(tenant)
@@ -693,20 +676,45 @@ class TenantStore:
               state: Optional[TenantState] = None) -> None:
         """Install a tenant recovered from a checkpoint.
 
-        ``state`` (a warm predictor + stream) makes the tenant resident
-        immediately; without it the tenant is adopted *cold* — counters
-        and digest chain only — and its predictor is rebuilt by replay on
-        its next batch, which audits the recovered counters.  State parked
-        before the crash is not imported for it, even when its binding
-        matches.
+        ``state`` (a warm predictor) makes the tenant resident
+        immediately; without it only the counters and digest chain are
+        installed, and the next batch reloads the tenant like any parked
+        one: it imports a park file bound to exactly these counters, or
+        replays its stream from the journal segments.
         """
         self.meta[tenant] = meta
-        if state is None:
-            self._cold.add(tenant)
-        else:
+        if state is not None:
             while len(self._resident) >= self.max_resident:
                 self.evict(next(iter(self._resident)))
             self._resident[tenant] = state
+
+    def roll_forward(self, tenant: str, records: Sequence[dict]) -> int:
+        """Advance a parked tenant over tail records its park file covers.
+
+        Recovery replays the journal tail past a checkpoint; a tenant
+        parked *during* that tail has a park file bound to a later point
+        than the checkpoint's counters.  When absorbing the first *k* of
+        ``records`` (the tenant's tail batches, in order) reproduces the
+        file's ``(events, digest)`` at its recorded miss count, the
+        stream it covers is exactly those batches: the counters take
+        that point and the records need no replay — the next reload
+        imports the file.  Returns *k* (0 when nothing matches).
+        """
+        meta = self.meta.get(tenant)
+        parked = self._parked(tenant)
+        if meta is None or parked is None or tenant in self._resident:
+            return 0
+        probe = copy.copy(meta)
+        for count, record in enumerate(records, start=1):
+            probe.absorb(record["bid"], record["pcs"], record["targets"], 0)
+            if probe.events == parked.get("events"):
+                probe.misses = parked.get("misses")
+                if isinstance(probe.misses, int) \
+                        and probe.digest() == parked.get("digest"):
+                    self.meta[tenant] = probe
+                    return count
+                return 0
+        return 0
 
     # -- residency -----------------------------------------------------------
 
@@ -725,46 +733,26 @@ class TenantStore:
         state = TenantState(self.spec)
         meta = self.meta.get(tenant)
         if meta is None or meta.events == 0:
-            return state  # brand-new tenant: nothing to replay
-        cold = tenant in self._cold
-        self._cold.discard(tenant)
-        trace = self.cache.load(self._cache_key(tenant))
-        if trace is not None and len(trace.pcs) < meta.events:
-            # A parked stream from before a crash the checkpoint already
-            # recovered past: shorter than the counters, so provably
-            # stale, not divergent.  Fall through to the authoritative
-            # (checkpoint + journal) stream instead of dying on it.
-            trace = None
-        columns = None
-        if trace is not None:
-            pcs: Sequence[int] = trace.pcs
-            targets: Sequence[int] = trace.targets
-            stream = "cache"
-            if not cold:
-                columns = _parked_columns(trace, meta)
-        elif self.journal_stream is not None:
-            pcs, targets = self.journal_stream(tenant)
-            stream = "journal"
-        else:
-            raise ServiceError(
-                f"tenant {tenant!r} has {meta.events} accepted events but "
-                f"no parked stream to rebuild from"
-            ).with_context(tenant=tenant)
-        if len(pcs) > meta.events:
-            # Journal-before-apply: the journal (and hence a stream read
-            # from it) may already hold the batch being applied right
-            # now, or — during a recovery tail replay — records not yet
-            # replayed.  The accepted stream is exactly the first
-            # ``meta.events`` events of that append-only prefix.
-            pcs = pcs[:meta.events]
-            targets = targets[:meta.events]
+            return state  # brand-new tenant: nothing to rebuild
+        columns = _bound_columns(self._parked(tenant), meta)
         source = "state"
         if columns is not None:
             try:
-                state.rebuild(pcs, targets, columns)
+                state.rebuild((), (), columns)
             except StateError:
                 columns = None  # the binding matched but the shape did not
         if columns is None:
+            if self.journal_stream is None:
+                raise ServiceError(
+                    f"tenant {tenant!r} has {meta.events} accepted events "
+                    f"but no parked state or journal to rebuild from"
+                ).with_context(tenant=tenant)
+            pcs, targets = self.journal_stream(tenant)
+            # Journal-before-apply: the journal may already hold the
+            # batch being applied right now, or — during a recovery tail
+            # replay — records not yet replayed.  The accepted stream is
+            # exactly the first ``meta.events`` events of that prefix.
+            pcs, targets = pcs[:meta.events], targets[:meta.events]
             source = "replay"
             misses = state.rebuild(pcs, targets)
             if len(pcs) != meta.events or misses != meta.misses:
@@ -772,47 +760,61 @@ class TenantStore:
                     f"tenant {tenant!r} rebuilt to {misses} misses over "
                     f"{len(pcs)} events; counters say {meta.misses} over "
                     f"{meta.events} (state divergence)"
-                ).with_context(tenant=tenant, stream=stream)
+                ).with_context(tenant=tenant)
             self.reload_replays += 1
         self.reloads += 1
         self.tracer.event("tenant_reload", tenant=tenant, source=source,
-                          stream=stream, events=meta.events)
+                          events=meta.events)
         return state
 
     def evict(self, tenant: str) -> bool:
-        """Park ``tenant`` in the cache and drop its predictor.
+        """Park ``tenant``'s exported state and drop its predictor.
 
-        The parked trace holds the accepted stream and, in its metadata,
-        the predictor's exported state bound to the tenant's ``(events,
-        misses, digest)`` — one file, one fsync.  The running hash and
-        counters stay in :attr:`meta`; the next batch imports the state
-        (or replays the stream when the state cannot be used).  A
-        predictor whose state does not fit ``int64`` columns parks its
-        stream only.  ``False`` when the tenant was not resident.
+        The park file holds the predictor's table state bound to the
+        tenant's ``(events, misses, digest)`` — one small file, one
+        fsync, O(table size).  The counters and digest chain stay in
+        :attr:`meta`; the next batch imports the state (or replays the
+        stream when it cannot be used).  A predictor whose state does
+        not fit ``int64`` columns, or a park the disk refuses, parks
+        nothing: that tenant replays.  ``False`` when the tenant was not
+        resident.
         """
         state = self._resident.pop(tenant, None)
         if state is None:
             return False
         meta = self.meta.get(tenant)
-        metadata = TraceMetadata(name=self._cache_key(tenant))
         if meta is not None:
             try:
-                metadata.extra["state"] = {
+                parked = {
+                    "tenant": tenant,
                     "events": meta.events,
                     "misses": meta.misses,
                     "digest": meta.digest(),
                     "columns": encode_columns(
                         state.predictor.export_state()),
                 }
-            except StateError:
-                pass  # keys wider than int64: park the stream alone
-        self.cache.store(self._cache_key(tenant),
-                         Trace(state.pcs, state.targets, metadata))
+                parked["crc32"] = payload_crc(parked)
+                with atomic_file(self.park_path(tenant)) as sink:
+                    sink.write(canonical_json(parked))
+            except (StateError, OSError) as exc:
+                self.tracer.event("tenant_park_skipped", tenant=tenant,
+                                  reason=str(exc))
         self.evictions += 1
         self.tracer.event("tenant_evict", tenant=tenant,
-                          events=len(state.pcs),
+                          events=meta.events if meta else 0,
                           resident=len(self._resident))
         return True
+
+    def _parked(self, tenant: str) -> Optional[dict]:
+        """The tenant's park file if it is whole (CRC) and its own."""
+        try:
+            parked = json.loads(self.park_path(tenant).read_bytes())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(parked, dict) or parked.get("tenant") != tenant \
+                or parked.get("crc32") != payload_crc(parked):
+            return None
+        return parked
 
     def snapshot(self) -> Dict[str, dict]:
         """Final counters + digest for every tenant ever seen."""
@@ -820,20 +822,17 @@ class TenantStore:
                 for tenant, meta in sorted(self.meta.items())}
 
 
-def _parked_columns(trace: Trace, meta: TenantMeta) -> Optional[Columns]:
-    """The state parked with ``trace``, if it is bound to exactly ``meta``.
+def _bound_columns(parked: Optional[dict],
+                   meta: TenantMeta) -> Optional[Columns]:
+    """Parked columns, if they are bound to exactly ``meta``.
 
-    ``None`` — replay — when the trace carries no state, when its
-    ``(events, misses, digest)`` binding differs from the live counters,
-    or when its columns do not decode.
+    ``None`` — replay — when there is no park file, when its ``(events,
+    misses, digest)`` binding differs from the live counters, or when
+    its columns do not decode.
     """
-    parked = trace.metadata.extra.get("state")
-    if not isinstance(parked, dict):
-        return None
-    binding = (parked.get("events"), parked.get("misses"),
-               parked.get("digest"))
-    if binding != (meta.events, meta.misses, meta.digest()) \
-            or len(trace.pcs) != meta.events:
+    if parked is None or (parked.get("events"), parked.get("misses"),
+                          parked.get("digest")) \
+            != (meta.events, meta.misses, meta.digest()):
         return None
     try:
         return decode_columns(parked.get("columns"))

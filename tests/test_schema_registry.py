@@ -30,7 +30,6 @@ from repro.runtime.verify import (
 from repro.service.checkpoint import (
     build_checkpoint,
     payload_crc,
-    restore_predictor,
     validate_checkpoint,
 )
 from repro.service.state import TenantMeta
@@ -257,11 +256,11 @@ TAMPERS = {
          ":3: server.connections went backwards"),
         ("empty", keep(), "metrics stream has no snapshots"),
     ],
-    "repro-shard-snapshot/1": [
+    "repro-shard-snapshot/2": [
         ("flip", resealed(flip(0, "journal_records")),
          "tenants hold 8 batches but journal_records says 9"),
-        ("drop", resealed(drop(0, "tenants", "t00", "pcs")),
-         "stream columns hold 0/12 events"),
+        ("drop", resealed(drop(0, "tenants", "t00", "chain")),
+         r"tenant 't00': inconsistent meta \('chain'\)"),
         ("crc", flip(0, "crc32"), "CRC mismatch"),
         ("digest", resealed(flip(0, "tenants", "t01", "digest", to="0" * 64)),
          "digest does not match chain"),
@@ -316,7 +315,7 @@ TAMPERS = {
 #: Append-only logs: a torn final line is dropped, never a failure.
 APPEND_LOGS = {
     "repro-checkpoint/1": "1 journalled result(s) (torn tail dropped)",
-    "repro-service-journal/1": "1 accepted batch(es)",
+    "repro-service-journal/1": "7 accepted batch(es)",
     "repro-service-sheds/1": "1 shed(s)",
     "repro-service-metrics-stream/1": "1 snapshot(s)",
 }
@@ -415,16 +414,17 @@ def test_chaos_plan_without_faults_is_an_empty_plan(tmp_path):
 def serving_run(tmp_path):
     """A serving run directory assembled from the service fixtures.
 
-    They come from one run: the journal's compacted prefix is covered by
-    the checkpoint, whose tenants replay to ``tenants.json``.
+    They come from one run: the journal fixture is the shard's sealed
+    segment, the checkpoint covers all of it, and its tenants replay to
+    ``tenants.json``; the live segment after it holds no record yet.
     """
     run_dir = tmp_path / "svc"
     run_dir.mkdir()
     artifacts = {}
     for kind, schema, name in (
-            ("service_journal.0", "repro-service-journal/1",
-             "journal-0.jsonl"),
-            ("shard_snapshot.0", "repro-shard-snapshot/1", "snapshot-0.json"),
+            ("service_segment.0", "repro-service-journal/1",
+             "sealed-0-0.jsonl"),
+            ("shard_snapshot.0", "repro-shard-snapshot/2", "snapshot-0.json"),
             ("service_tenants", "repro-service-tenants/1", "tenants.json"),
             ("service_metrics", "repro-service-metrics/1",
              "service-metrics.json"),
@@ -433,6 +433,11 @@ def serving_run(tmp_path):
             ("service_sheds", "repro-service-sheds/1", "sheds.jsonl")):
         shutil.copy(FIXTURES / fixture_name(schema), run_dir / name)
         artifacts[kind] = run_dir / name
+    header = json.loads((run_dir / "sealed-0-0.jsonl").read_text()
+                        .splitlines()[0])
+    live = run_dir / "journal-0.jsonl"
+    live.write_text(json.dumps({**header, "base": 8}, sort_keys=True) + "\n")
+    artifacts["service_journal.0"] = live
     write_manifest(run_dir, artifacts)
     return run_dir, artifacts
 
@@ -478,8 +483,8 @@ class TestServingBooks:
             in finding.detail
 
 
-class TestPickleBlobPolicy:
-    """An older writer's pickled predictor is accepted, never loaded."""
+class TestCheckpointState:
+    """A checkpoint carries table state as columns or not at all."""
 
     def checkpoint(self):
         meta = TenantMeta()
@@ -489,24 +494,34 @@ class TestPickleBlobPolicy:
         predictor = predictor_from_spec("btb:entries=16")
         predictor.run_trace([4, 8], [16, 32])
         return build_checkpoint(0, "btb:entries=16", 2, {
-            "live": (meta, [4, 8], [16, 32], predictor),
-            "parked": (meta, [4, 8], [16, 32], None),
+            "live": (meta, predictor),
+            "parked": (meta, None),
         })
 
-    def test_current_writers_emit_no_string(self):
+    def test_writers_emit_columns_or_nothing(self):
         payload = self.checkpoint()
         states = [entry["predictor"] for entry in payload["tenants"].values()]
         assert isinstance(states[0], dict) and states[1] is None
-        assert not any(isinstance(state, str) for state in states)
+        validate_checkpoint(payload)
 
-    def test_old_pickle_string_validates_and_adopts_cold(self):
+    def test_a_history_checkpoint_file_is_unrecognised(self, workdir):
+        path = workdir / fixture_name("repro-shard-snapshot/2")
+        records = load(path)
+        resealed(flip(0, "schema", to="repro-shard-snapshot/1"))(records)
+        dump(path, records)
+        report = verify_file(path)
+        assert not report.ok
+        assert "unrecognised schema 'repro-shard-snapshot/1'" \
+            in report.failures[0].detail
+
+    def test_a_pickle_string_fails_validation(self):
+        from repro.errors import ServiceError
+
         payload = self.checkpoint()
         payload["tenants"]["live"]["predictor"] = "gASVpickled-by-an-old-writer"
         payload["crc32"] = payload_crc(payload)
-        loaded = validate_checkpoint(payload)
-        assert set(loaded["metas"]) == {"live", "parked"}
-        entry = payload["tenants"]["live"]
-        assert restore_predictor(entry, payload["spec"]) is None
+        with pytest.raises(ServiceError, match="predictor state"):
+            validate_checkpoint(payload)
 
     def test_state_columns_must_match_the_spec(self):
         from repro.errors import ServiceError

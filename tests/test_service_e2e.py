@@ -95,6 +95,36 @@ class TestServeEndToEnd:
         assert main(["verify", str(run_dir),
                      "--against", str(tmp_path / "replay")]) == 4
 
+    def test_trace_log_run_verifies(self, tmp_path):
+        """``--trace-log``: the log is final before the manifest hashes
+        it, and holds spans — the serving session and one per shard
+        compaction — as its schema requires."""
+        from repro.runtime.telemetry import read_trace_log
+
+        run_dir = tmp_path / "run"
+        trace_log = run_dir / "trace.jsonl"
+        process, info = _start_server(run_dir, "--trace-log", str(trace_log),
+                                      "--checkpoint-interval", "2")
+        try:
+            summary = run_loadgen(
+                info["host"], info["port"], tenants=4, batches=3,
+                batch_events=24, concurrency=2, shutdown=True)
+            process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert summary["failed"] == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "trace_log" in manifest["artifacts"]
+        assert main(["verify", str(run_dir)]) == 0
+        records = read_trace_log(trace_log)
+        spans = [record["name"] for record in records
+                 if record["kind"] == "span"]
+        assert spans.count("serve") == 1 and "compact" in spans
+        assert records[-1]["name"] == "server_stop"
+
     def test_live_stats_top_and_metrics_stream(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         process, info = _start_server(run_dir, "--stats-interval", "0.2")

@@ -6,10 +6,7 @@ fallback — a restarted shard's per-tenant digests are bit-identical to
 a never-crashed twin and to the offline replay oracle.
 """
 
-import base64
 import json
-import os
-import pickle
 import shutil
 from pathlib import Path
 
@@ -17,15 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columns import decode_columns, encode_columns
 from repro.errors import ServiceError
+from repro.runtime.verify import verify_run
 from repro.service.checkpoint import (
-    SNAPSHOT_SCHEMA, base_records, build_checkpoint, checkpoint_path,
-    load_checkpoint, payload_crc, prev_checkpoint_path,
-    quarantine_checkpoint, validate_checkpoint,
+    SNAPSHOT_SCHEMA, checkpoint_path, payload_crc,
+    prev_checkpoint_path, quarantine_checkpoint, validate_checkpoint,
 )
-from repro.service.replay import replay_records, replay_run
+from repro.service.replay import replay_records, replay_run, replay_shard
 from repro.service import shard as shard_module
-from repro.service.shard import COMPACTION_STEPS, ShardCore, journal_path
+from repro.service.shard import (
+    COMPACTION_STEPS, ShardCore, find_sealed, journal_path,
+)
+from repro.service.state import read_service_journal
 from repro.workloads.program import WorkloadConfig, generate_trace
 
 SPEC = "btb:entries=64,assoc=2"
@@ -75,13 +76,15 @@ class TestCheckpointFormat:
 
     def test_round_trip(self, tmp_path):
         payload = self._payload(tmp_path)
-        assert payload["schema"] == SNAPSHOT_SCHEMA
+        assert payload["schema"] == SNAPSHOT_SCHEMA == "repro-shard-snapshot/2"
         assert payload["journal_records"] == 6
         result = validate_checkpoint(payload, shard_id=0, spec=SPEC)
         assert sorted(result["metas"]) == ["a", "b"]
-        for tenant, meta in result["metas"].items():
-            pcs, targets = result["streams"][tenant]
-            assert len(pcs) == len(targets) == meta.events > 0
+        for tenant, entry in payload["tenants"].items():
+            # State, never history: no stream columns, no batch bounds.
+            assert not {"pcs", "targets", "bounds"} & set(entry)
+            assert result["metas"][tenant].events == entry["events"] > 0
+            assert sorted(entry["predictor"]) == ["table"]
 
     def test_crc_flip_rejected(self, tmp_path):
         payload = self._payload(tmp_path)
@@ -104,12 +107,12 @@ class TestCheckpointFormat:
         with pytest.raises(ServiceError, match="inconsistent meta"):
             validate_checkpoint(payload)
 
-    def test_truncated_stream_column_rejected(self, tmp_path):
+    def test_history_checkpoint_schema_rejected(self, tmp_path):
         payload = self._payload(tmp_path)
-        entry = payload["tenants"]["a"]
-        entry["pcs"] = entry["pcs"][:8]
+        payload["schema"] = "repro-shard-snapshot/1"
         payload["crc32"] = payload_crc(payload)
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="schema 'repro-shard-"
+                           "snapshot/1' is not repro-shard-snapshot/2"):
             validate_checkpoint(payload)
 
     def test_quarantine_leaves_sidecar(self, tmp_path):
@@ -122,13 +125,34 @@ class TestCheckpointFormat:
             (tmp_path / "snapshot-0.json.corrupt.json").read_text())
         assert sidecar["reason"] == "CRC mismatch"
 
-    def test_base_records_replay_to_checkpoint_digests(self, tmp_path):
+    def test_checkpoint_equals_segment_replay_to_its_watermark(self,
+                                                               tmp_path):
         payload = self._payload(tmp_path)
-        replayed = replay_records(SPEC, {0: base_records(payload)},
-                                  kernel="event")
+        (sealed,) = find_sealed(tmp_path)[0].values()
+        _, records = read_service_journal(sealed)
+        assert len(records) == payload["journal_records"]
+        replayed = replay_shard(SPEC, records, kernel="event")
         for tenant, entry in payload["tenants"].items():
-            assert replayed[tenant]["digest"] == entry["digest"]
-            assert replayed[tenant]["misses"] == entry["misses"]
+            meta, predictor = replayed[tenant]
+            assert meta.digest() == entry["digest"]
+            assert encode_columns(predictor.export_state()) \
+                == entry["predictor"]
+
+    def test_size_does_not_grow_with_history(self, tmp_path):
+        """Ten times the batches for the same tenants: the checkpoint
+        differs only by the decimal digits of its counters."""
+        sizes = {}
+        for rounds in (8, 80):
+            run_dir = tmp_path / f"r{rounds}"
+            run_dir.mkdir()
+            core = ShardCore(0, SPEC, run_dir, kernel="event")
+            drive(core, range(1, rounds + 1), events=64)
+            assert core.compact()["completed"]
+            core.close()
+            sizes[rounds] = checkpoint_path(run_dir, 0).stat().st_size
+        growth = sizes[80] - sizes[8]
+        assert 0 <= growth <= 32, sizes
+        assert growth < 0.01 * sizes[8]
 
 
 class TestCrashAtEveryStep:
@@ -205,18 +229,48 @@ class TestSalvageLadder:
         assert revived.store.snapshot() == live
         revived.close()
 
-    def test_corrupt_both_with_compacted_prefix_refuses(self, tmp_path):
-        self._compacted_run(tmp_path / "run", rounds=3)  # base > 0
+    def test_corrupt_both_replays_the_segments_from_genesis(self, tmp_path):
+        live, _ = self._compacted_run(tmp_path / "run", rounds=3)
         run_dir = tmp_path / "run"
         corrupt_file(checkpoint_path(run_dir, 0))
         corrupt_file(prev_checkpoint_path(run_dir, 0))
-        with pytest.raises(ServiceError, match="no valid checkpoint"):
+        assert len(find_sealed(run_dir)[0]) == 3
+        revived = ShardCore(0, SPEC, run_dir, kernel="event")
+        assert revived.recovery["source"] == "journal"
+        assert revived.recovery["fallbacks"] == 2
+        assert revived.store.snapshot() == live
+        revived.close()
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_lost_sealed_segment_with_no_checkpoint_refuses(self, tmp_path,
+                                                           damage):
+        self._compacted_run(tmp_path / "run", rounds=3)
+        run_dir = tmp_path / "run"
+        corrupt_file(checkpoint_path(run_dir, 0))
+        corrupt_file(prev_checkpoint_path(run_dir, 0))
+        segment = list(find_sealed(run_dir)[0].values())[1]
+        if damage == "missing":
+            segment.unlink()
+        else:
+            with open(segment, "r+b") as sink:  # a garbage line mid-file
+                sink.seek(segment.stat().st_size // 2)
+                sink.write(b"\n#garbage\n")
+        with pytest.raises(ServiceError, match="missing or corrupt sealed "
+                                               "journal segment"):
+            ShardCore(0, SPEC, run_dir, kernel="event")
+
+    def test_prev_fallback_needs_its_sealed_segment(self, tmp_path):
+        self._compacted_run(tmp_path / "run")
+        run_dir = tmp_path / "run"
+        corrupt_file(checkpoint_path(run_dir, 0))
+        list(find_sealed(run_dir)[0].values())[-1].unlink()  # past .prev
+        with pytest.raises(ServiceError, match="a sealed segment is "
+                                               "missing"):
             ShardCore(0, SPEC, run_dir, kernel="event")
 
     def test_corrupt_checkpoint_with_full_journal_replays(self, tmp_path):
-        # One compaction leaves base 0 (lag-one retention): the journal
-        # is still the full history, so losing every checkpoint only
-        # costs a full replay, not the shard.
+        # One compaction: no .prev yet, so losing the checkpoint falls
+        # straight to a full replay of the sealed + live segments.
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         core = ShardCore(0, SPEC, run_dir, kernel="event")
@@ -232,6 +286,31 @@ class TestSalvageLadder:
         assert revived.store.snapshot() == live
         revived.close()
 
+    def test_history_checkpoint_is_quarantined_then_refused(self, tmp_path):
+        """A ``repro-shard-snapshot/1`` checkpoint over a journal its
+        writer trimmed: quarantined like any unknown schema, and with the
+        trimmed prefix gone nothing can re-prove the history."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        core = ShardCore(0, SPEC, run_dir, kernel="event")
+        drive(core, range(1, 3))
+        assert core.compact()["completed"]
+        drive(core, [3])
+        core.close()
+        path = checkpoint_path(run_dir, 0)
+        payload = json.loads(path.read_text())
+        payload["schema"] = "repro-shard-snapshot/1"
+        payload["crc32"] = payload_crc(payload)
+        path.write_text(json.dumps(payload))
+        for sealed in find_sealed(run_dir)[0].values():
+            sealed.unlink()  # the old format kept no sealed segments
+        with pytest.raises(ServiceError, match="missing or corrupt sealed"):
+            ShardCore(0, SPEC, run_dir, kernel="event")
+        sidecar = json.loads(
+            (run_dir / "snapshot-0.json.corrupt.json").read_text())
+        assert "schema 'repro-shard-snapshot/1' is not " \
+            "repro-shard-snapshot/2" in sidecar["reason"]
+
     def test_recovery_metrics_surface(self, tmp_path):
         live, _ = self._compacted_run(tmp_path / "run")
         run_dir = tmp_path / "run"
@@ -246,20 +325,11 @@ class TestSalvageLadder:
         revived.close()
 
 
-class _Booby:
-    """Unpickling this would create ``path``: proof a blob was loaded."""
-
-    def __init__(self, path):
-        self.path = str(path)
-
-    def __reduce__(self):
-        return (os.mkdir, (self.path,))
-
-
 class TestStateInCheckpoints:
-    def _checkpointed(self, run_dir, max_resident=8, tenants=("a", "b")):
+    def _checkpointed(self, run_dir, max_resident=8, tenants=("a", "b"),
+                      spec=SPEC):
         run_dir.mkdir(parents=True, exist_ok=True)
-        core = ShardCore(0, SPEC, run_dir, max_resident=max_resident,
+        core = ShardCore(0, spec, run_dir, max_resident=max_resident,
                          kernel="event")
         drive(core, range(1, 3), tenants=tenants)
         assert core.compact()["completed"]
@@ -279,32 +349,6 @@ class TestStateInCheckpoints:
                                                            range(1, 5))
         revived.close()
 
-    def test_pickled_predictor_blob_adopts_cold_and_replays(self, tmp_path):
-        # A checkpoint written before predictors were columns holds a
-        # pickle per resident tenant.  It still loads, but the blob is
-        # never unpickled: the tenant is adopted cold and replays.
-        run_dir = tmp_path / "run"
-        core = self._checkpointed(run_dir)
-        warm = core.store.resident_state("a").predictor
-        core.close()
-        marker = tmp_path / "unpickled"
-        path = checkpoint_path(run_dir, 0)
-        payload = json.loads(path.read_text())
-        for tenant, blob in (("a", warm), ("b", _Booby(marker))):
-            payload["tenants"][tenant]["predictor"] = base64.b64encode(
-                pickle.dumps(blob, protocol=4)).decode("ascii")
-        payload["crc32"] = payload_crc(payload)
-        path.write_text(json.dumps(payload))
-        revived = ShardCore(0, SPEC, run_dir, kernel="event")
-        assert revived.recovery["source"] == "checkpoint"
-        assert revived.store.resident_count == 0
-        drive(revived, range(3, 5))
-        assert not marker.exists()
-        assert revived.store.reload_replays == 2
-        assert revived.store.snapshot() == golden_snapshot(tmp_path,
-                                                           range(1, 5))
-        revived.close()
-
     def test_malformed_predictor_columns_fail_validation(self, tmp_path):
         run_dir = tmp_path / "run"
         self._checkpointed(run_dir).close()
@@ -314,56 +358,117 @@ class TestStateInCheckpoints:
         with pytest.raises(ServiceError, match="predictor state"):
             validate_checkpoint(payload)
 
-    def test_cold_adopted_tenant_replays_despite_matching_state(self,
-                                                                tmp_path):
+    def test_parked_tenant_imports_its_bound_state_after_a_crash(self,
+                                                                 tmp_path):
         run_dir = tmp_path / "run"
         # a1 b1 a2 b2 with one resident slot: "a" is parked at the
         # checkpoint, with state bound to exactly its checkpointed meta.
         self._checkpointed(run_dir, max_resident=1).close()
+        payload = json.loads(checkpoint_path(run_dir, 0).read_text())
+        assert payload["tenants"]["a"]["predictor"] is None
         revived = ShardCore(0, SPEC, run_dir, max_resident=1,
                             kernel="event")
-        parked = revived.store.cache.load("tenant-a").metadata.extra["state"]
-        assert parked["digest"] == revived.store.meta["a"].digest()
-        drive(revived, [3])  # a3 reloads cold "a"; b3 reloads parked "b"
+        drive(revived, [3])  # a3 and b3 both reload parked state
         assert revived.store.reloads == 2
-        assert revived.store.reload_replays == 1
+        assert revived.store.reload_replays == 0
         assert revived.store.snapshot() == golden_snapshot(tmp_path,
                                                            range(1, 4))
         revived.close()
 
-    def test_compaction_parses_the_base_checkpoint_once(self, tmp_path,
-                                                        monkeypatch):
-        calls = []
-        real = shard_module.read_tenant_streams
-
-        def counting(path, tenants):
-            calls.append(sorted(tenants))
-            return real(path, tenants)
-
-        monkeypatch.setattr(shard_module, "read_tenant_streams", counting)
-        tenants = ("a", "b", "c", "d")
-        core = self._checkpointed(tmp_path / "run", max_resident=1,
-                                  tenants=tenants)
-        assert calls == []  # no base checkpoint yet: the journal is all
-        drive(core, [3], tenants=tenants)
-        assert core.compact()["completed"]
-        assert calls == [["a", "b", "c"]]  # "d" is resident
-        core.close()
-        revived = ShardCore(0, SPEC, tmp_path / "run", kernel="event")
-        assert revived.store.snapshot() == golden_snapshot(
-            tmp_path, range(1, 4), tenants=tenants)
+    @pytest.mark.parametrize("damage", ["binding", "crc", "missing"])
+    def test_parked_tenant_replays_when_its_state_is_not_bound(self,
+                                                              tmp_path,
+                                                              damage):
+        run_dir = tmp_path / "run"
+        self._checkpointed(run_dir, max_resident=1).close()
+        park = run_dir / "parked" / "a.json"
+        parked = json.loads(park.read_text())
+        if damage == "binding":
+            parked["misses"] += 1
+            parked["crc32"] = payload_crc(parked)
+            park.write_text(json.dumps(parked))
+        elif damage == "crc":  # a plausible table the CRC was not over
+            table = decode_columns(parked["columns"])["table"]
+            table[1] += 4
+            parked["columns"] = encode_columns({"table": table})
+            park.write_text(json.dumps(parked))
+        else:
+            park.unlink()
+        revived = ShardCore(0, SPEC, run_dir, max_resident=1,
+                            kernel="event")
+        drive(revived, [3])
+        assert revived.store.reload_replays == 1  # "a" replayed, "b" not
+        assert revived.store.snapshot() == golden_snapshot(tmp_path,
+                                                           range(1, 4))
         revived.close()
 
-    def test_compaction_with_every_tenant_resident_reads_no_checkpoint(
-            self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(shard_module, "read_tenant_streams",
-                            lambda *args: calls.append(args))
-        core = self._checkpointed(tmp_path / "run")
-        drive(core, [3])
-        assert core.compact()["completed"]
-        assert calls == []
+    def test_tenant_parked_in_the_tail_rolls_forward(self, tmp_path):
+        """Parked *after* the checkpoint: recovery takes the park file's
+        point instead of replaying, and the next batch imports it."""
+        run_dir = tmp_path / "run"
+        tenants = ("a", "b", "c")
+        core = self._checkpointed(run_dir, max_resident=1, tenants=tenants)
+        drive(core, [3], tenants=tenants)  # a3, b3 parked in the tail
+        live = core.store.snapshot()
         core.close()
+        revived = ShardCore(0, SPEC, run_dir, max_resident=1,
+                            kernel="event")
+        assert revived.recovery["tail_records"] == 3
+        assert revived.store.snapshot() == live
+        # a3, b3 rolled forward to their parks; c restarted warm.
+        assert revived.store.reloads == 0
+        drive(revived, [4], tenants=tenants)
+        assert revived.store.reload_replays == 0
+        assert revived.store.snapshot() == golden_snapshot(
+            tmp_path, range(1, 5), tenants=tenants)
+        revived.close()
+
+    def test_compaction_reads_no_history_and_rewrites_nothing(
+            self, tmp_path, monkeypatch):
+        core = self._checkpointed(tmp_path / "run", max_resident=1,
+                                  tenants=("a", "b", "c"))
+        drive(core, [3], tenants=("a", "b", "c"))
+        live_bytes = core.journal.path.read_bytes()
+        base = core.journal.base
+        reads = []
+        monkeypatch.setattr(shard_module, "read_service_journal",
+                            lambda *args: reads.append(args))
+        assert core.compact()["completed"]
+        assert reads == []
+        sealed = tmp_path / "run" / f"sealed-0-{base}.jsonl"
+        assert sealed.read_bytes() == live_bytes  # renamed, not rewritten
+        core.close()
+
+    def test_wide_key_spec_survives_evict_compact_and_recovery(self,
+                                                              tmp_path):
+        """Keys wider than 63 bits export no state: such a tenant parks
+        nothing, checkpoints as counters only, and replays from the
+        segments — bit-identical through every step."""
+        spec = "twolevel:p=3,precision=full,address=concat,entries=none"
+        run_dir = tmp_path / "run"
+        core = self._checkpointed(run_dir, max_resident=1, spec=spec)
+        assert not (run_dir / "parked" / "a.json").exists()
+        payload = json.loads(checkpoint_path(run_dir, 0).read_text())
+        assert all(entry["predictor"] is None
+                   for entry in payload["tenants"].values())
+        drive(core, [3])
+        core.close()
+        revived = ShardCore(0, spec, run_dir, max_resident=1,
+                            kernel="event")
+        drive(revived, [4])
+        assert revived.store.reload_replays >= 2
+        assert revived.compact()["completed"]
+        drive(revived, [5])
+        twin_dir = tmp_path / "twin"
+        twin_dir.mkdir()
+        twin = ShardCore(0, spec, twin_dir, kernel="event")
+        drive(twin, range(1, 6))
+        assert revived.store.snapshot() == twin.store.snapshot()
+        revived.close()
+        twin.close()
+        _, replayed = replay_run(run_dir, kernel="event")
+        for tenant, meta in twin.store.snapshot().items():
+            assert replayed[tenant]["digest"] == meta["digest"]
 
 
 class TestKernelIdentity:
@@ -423,24 +528,38 @@ class TestOfflineComposition:
             assert replayed[tenant]["digest"] == meta["digest"]
             assert replayed[tenant]["events"] == meta["events"]
 
-    def test_replay_run_refuses_unrecoverable_history(self, tmp_path):
+    def test_replay_run_needs_no_checkpoint(self, tmp_path):
+        core = ShardCore(0, SPEC, tmp_path, kernel="event")
+        drive(core, range(1, 3))
+        assert core.compact()["completed"]
+        drive(core, range(3, 5))
+        assert core.compact()["completed"]
+        live = core.store.snapshot()
+        core.close()
+        checkpoint_path(tmp_path, 0).unlink()
+        prev_checkpoint_path(tmp_path, 0).unlink()
+        _, replayed = replay_run(tmp_path, kernel="event")
+        for tenant, meta in live.items():
+            assert replayed[tenant]["digest"] == meta["digest"]
+
+    def test_replay_run_refuses_a_missing_sealed_segment(self, tmp_path):
         core = ShardCore(0, SPEC, tmp_path, kernel="event")
         drive(core, range(1, 3))
         assert core.compact()["completed"]
         drive(core, range(3, 5))
         assert core.compact()["completed"]
         core.close()
-        checkpoint_path(tmp_path, 0).unlink()
-        prev_checkpoint_path(tmp_path, 0).unlink()
-        with pytest.raises(ServiceError, match="compacted away"):
+        find_sealed(tmp_path)[0][0].unlink()  # base 0
+        with pytest.raises(ServiceError, match="sealed segment is missing"):
             replay_run(tmp_path, kernel="event")
 
 
 class TestCheckpointedServeEndToEnd:
     def test_serve_checkpoints_and_verify_proves_composition(self, tmp_path):
-        """A real checkpointing server: snapshots manifested, journals
-        compacted, and ``repro verify`` proves checkpoint + tail ==
-        journal replay == the live digests (and the offline oracle)."""
+        """A real checkpointing server: snapshots and sealed segments
+        manifested, and ``repro verify`` proves each checkpoint == the
+        segments replayed to its watermark, and segment replay == the
+        live digests (and the offline oracle)."""
         import os
         import subprocess
         import sys
@@ -495,12 +614,20 @@ class TestCheckpointedServeEndToEnd:
         manifested = [kind for kind in manifest["artifacts"]
                       if kind.startswith("shard_snapshot.")]
         assert sorted(manifested) == ["shard_snapshot.0", "shard_snapshot.1"]
-        # At least one journal was actually compacted (base > 0).
-        bases = [json.loads(path.read_text().splitlines()[0]).get("base", 0)
-                 for path in run_dir.glob("journal-*.jsonl")]
-        assert any(base > 0 for base in bases), bases
-        # verify proves format + checkpoint/tail composition + digests.
-        assert main(["verify", str(run_dir)]) == 0
+        # Both shards sealed segments behind their checkpoints, and the
+        # manifest lists every one of them.
+        sealed = find_sealed(run_dir)
+        assert sorted(sealed) == [0, 1]
+        manifested = sorted(entry["path"] for kind, entry
+                            in manifest["artifacts"].items()
+                            if kind.startswith("service_segment."))
+        assert manifested == sorted(path.name for paths in sealed.values()
+                                    for path in paths.values())
+        # verify proves format + checkpoint replay + segment replay.
+        report = verify_run(run_dir)
+        assert report.ok, report.render()
+        assert {"service:checkpoint_replay", "service:replay"} \
+            <= {finding.check for finding in report.findings}
         # ... and the offline oracle round-trips through the checkpoint.
         write_replay(run_dir, tmp_path / "replay")
         assert main(["verify", str(run_dir),

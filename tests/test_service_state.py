@@ -1,7 +1,11 @@
 """Tests for tenant state, the shard journal, LRU residency, and replay."""
 
 import json
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +14,9 @@ from repro.errors import ServiceError
 from repro.service.replay import replay_records, replay_run, write_replay
 from repro.service.shard import ShardCore, journal_path
 from repro.service.state import (
-    ShardJournal, TenantMeta, TenantStore, read_service_journal,
-    valid_tenant,
+    ShardJournal, TenantMeta, TenantStore, join_segments, payload_crc,
+    read_service_journal, valid_tenant,
 )
-from repro.runtime.cache import TraceCache
-from repro.workloads.io import load_trace, save_trace
 from repro.workloads.program import WorkloadConfig, generate_trace
 
 SPEC = "btb:entries=64,assoc=2"
@@ -94,10 +96,44 @@ class TestShardJournal:
             ShardJournal(path, 0, "btb:entries=128,assoc=4")
 
 
+class TestJoinSegments:
+    """A shard's history is its segments joined end to end from genesis."""
+
+    def seg(self, base, count, shard=0):
+        header = {"schema": "repro-service-journal/1", "shard": shard,
+                  "spec": SPEC, "base": base}
+        return header, [{"bid": base + k} for k in range(count)]
+
+    def test_joins_and_slices(self):
+        segments = [self.seg(0, 3), self.seg(3, 2), self.seg(5, 4)]
+        assert [r["bid"] for r in join_segments(segments)] == list(range(9))
+        assert [r["bid"] for r in join_segments(segments[1:], start=4)] \
+            == [4, 5, 6, 7, 8]
+
+    @pytest.mark.parametrize("segments, message", [
+        ([(0, 3), (4, 2)], "starts at record 4 but the history before it "
+                           "ends at 3"),
+        ([(0, 3), (2, 2)], "starts at record 2"),
+        ([(2, 3)], "starts at record 2 but the history before it ends at 0"),
+    ])
+    def test_a_gap_is_refused(self, segments, message):
+        with pytest.raises(ServiceError, match=message):
+            join_segments([self.seg(base, count)
+                           for base, count in segments])
+
+    def test_a_foreign_segment_is_refused(self):
+        with pytest.raises(ServiceError, match="a segment of shard 1"):
+            join_segments([self.seg(0, 3), self.seg(3, 2, shard=1)])
+
+    def test_start_past_the_end_is_refused(self):
+        with pytest.raises(ServiceError, match="history ends at record 3"):
+            join_segments([self.seg(0, 3)], start=5)
+
+
 class TestTenantStore:
     def _store(self, tmp_path, max_resident=2):
-        cache = TraceCache(tmp_path / "cache")
-        return TenantStore(SPEC, cache, max_resident=max_resident)
+        return TenantStore(SPEC, tmp_path / "parked",
+                           max_resident=max_resident)
 
     def test_eviction_then_reload_is_bit_identical(self, tmp_path):
         # The contract's heart: a tenant that was evicted and rebuilt
@@ -117,20 +153,23 @@ class TestTenantStore:
                 == resident.snapshot()["t00"]["digest"])
 
     def test_reload_divergence_is_detected(self, tmp_path):
-        store = self._store(tmp_path, max_resident=1)
         pcs, targets = batch(1)
+        store = TenantStore(SPEC, tmp_path / "parked", max_resident=1,
+                            journal_stream=lambda tenant: (pcs, targets))
         store.apply_batch("t00", 1, pcs, targets)
         store.evict("t00")
-        store.meta["t00"].misses += 1  # simulate silent state corruption
+        # Silent state corruption: the park no longer binds, so the
+        # reload replays the journal stream and the audit catches it.
+        store.meta["t00"].misses += 1
         with pytest.raises(ServiceError, match="divergence"):
             store.apply_batch("t00", 2, *batch(2))
 
-    def test_evicted_tenant_without_parked_stream_raises(self, tmp_path):
+    def test_evicted_tenant_without_parked_state_raises(self, tmp_path):
         store = self._store(tmp_path, max_resident=1)
         pcs, targets = batch(1)
         store.apply_batch("t00", 1, pcs, targets)
         store._resident.clear()  # lost without an evict or a journal
-        with pytest.raises(ServiceError, match="no parked stream"):
+        with pytest.raises(ServiceError, match="no parked state or journal"):
             store.apply_batch("t00", 2, *batch(2))
 
 
@@ -154,24 +193,33 @@ class TestParkedState:
 
     def _store(self, tmp_path, spec=HYBRID):
         log = EventLog()
-        store = TenantStore(spec, TraceCache(tmp_path / "cache"),
-                            max_resident=1, tracer=log)
+        self.streams = {}
+        store = TenantStore(spec, tmp_path / "parked", max_resident=1,
+                            tracer=log, journal_stream=self.streams.get)
         return store, log
 
+    def _apply(self, store, tenant, bid, pcs, targets):
+        """Journal (here: remember) the batch, then apply it."""
+        stream = self.streams.setdefault(tenant, ([], []))
+        stream[0].extend(pcs)
+        stream[1].extend(targets)
+        store.apply_batch(tenant, bid, pcs, targets)
+
     def _park(self, store):
-        store.apply_batch("t00", 1, *batch(1, events=200))
-        store.apply_batch("t01", 1, *batch(2))  # evicts t00
-        return store.cache.path_for("tenant-t00")
+        self._apply(store, "t00", 1, *batch(1, events=200))
+        self._apply(store, "t01", 1, *batch(2))  # evicts t00
+        return store.park_path("t00")
 
     def _rewrite(self, path, edit):
-        trace = load_trace(path)
-        edit(trace.metadata.extra)
-        save_trace(trace, path)
+        parked = json.loads(path.read_text())
+        edit(parked)
+        parked["crc32"] = payload_crc(parked)
+        path.write_text(json.dumps(parked))
 
     def _finish(self, store, spec=HYBRID):
         """Reload t00 with batch 2; it must match a never-evicted twin."""
-        store.apply_batch("t00", 2, *batch(3, events=200))
-        twin = TenantStore(spec, store.cache, max_resident=8)
+        self._apply(store, "t00", 2, *batch(3, events=200))
+        twin = TenantStore(spec, store.park_dir, max_resident=8)
         for bid, seed in ((1, 1), (2, 3)):
             twin.apply_batch("twin", bid, *batch(seed, events=200))
         live = store.snapshot()["t00"]
@@ -182,10 +230,11 @@ class TestParkedState:
     def test_evict_then_reload_imports_state(self, tmp_path):
         store, log = self._store(tmp_path)
         path = self._park(store)
-        parked = load_trace(path).metadata.extra["state"]
+        parked = json.loads(path.read_text())
         meta = store.meta["t00"]
         assert (parked["events"], parked["misses"], parked["digest"]) == (
             meta.events, meta.misses, meta.digest())
+        assert not {"pcs", "targets"} & set(parked)  # state, not history
         self._finish(store)
         assert log.reload_sources() == ["state"]
         assert store.reload_replays == 0
@@ -194,8 +243,8 @@ class TestParkedState:
         store, log = self._store(tmp_path)
         path = self._park(store)
 
-        def stale(extra):
-            extra["state"]["misses"] += 1
+        def stale(parked):
+            parked["misses"] += 1
         self._rewrite(path, stale)
         self._finish(store)
         assert log.reload_sources() == ["replay"]
@@ -205,8 +254,8 @@ class TestParkedState:
         store, log = self._store(tmp_path)
         path = self._park(store)
 
-        def emptied(extra):
-            columns = extra["state"]["columns"]
+        def emptied(parked):
+            columns = parked["columns"]
             columns["c0.table"] = columns["c0.table"][:-12] + "AAAAAAAAAAAA"
             columns["selector"] = "%%%"
         self._rewrite(path, emptied)
@@ -217,8 +266,8 @@ class TestParkedState:
         store, log = self._store(tmp_path)
         path = self._park(store)
 
-        def too_many_ways(extra):
-            extra["state"]["columns"]["c0.table"] = (
+        def too_many_ways(parked):
+            parked["columns"]["c0.table"] = (
                 encode_columns({"table": array("q", [0, 1, 0, 0, 32, 1, 0, 0,
                                                      64, 1, 0, 0, 96, 1, 0, 0,
                                                      128, 1, 0, 0])})["table"])
@@ -226,11 +275,18 @@ class TestParkedState:
         self._finish(store)
         assert log.reload_sources() == ["replay"]
 
-    def test_trace_without_state_replays(self, tmp_path):
+    def test_torn_park_file_falls_back_to_replay(self, tmp_path):
+        store, log = self._store(tmp_path)
+        path = self._park(store)
+        path.write_bytes(path.read_bytes()[:-40])
+        self._finish(store)
+        assert log.reload_sources() == ["replay"]
+
+    def test_wide_keys_park_nothing_and_replay(self, tmp_path):
         spec = "twolevel:p=3,precision=full,address=concat,entries=none"
         store, log = self._store(tmp_path, spec)
-        path = self._park(store)  # wide keys: the stream is parked alone
-        assert "state" not in load_trace(path).metadata.extra
+        path = self._park(store)
+        assert not path.exists()  # keys wider than int64 do not export
         self._finish(store, spec)
         assert log.reload_sources() == ["replay"]
 
@@ -246,6 +302,37 @@ class TestShardCore:
         assert counters["shard.reload_replays"] == 0
         assert core.stats()["reload_replays"] == 0
         core.close()
+
+    def test_serving_path_never_imports_numpy(self, tmp_path):
+        """Apply, compaction, evict/reload and checkpoint recovery run in
+        pure Python: numpy (~14 MB of RSS, and start-up time) loads only
+        for a from-reset replay through the batch kernel."""
+        script = """
+import sys
+from repro.service.shard import ShardCore
+core = ShardCore(0, "btb:entries=64,assoc=2", sys.argv[1], max_resident=1,
+                 checkpoint_interval=4)
+for bid in range(1, 4):
+    for index, tenant in enumerate(("t00", "t01")):
+        pcs = [4096 * (k % 7) + 64 * index for k in range(bid, bid + 32)]
+        targets = [pc + 8 * (k % 3) for k, pc in enumerate(pcs)]
+        assert core.handle(tenant, bid, pcs, targets)["status"] == "ok"
+stats = core.stats()
+assert stats["metrics"]["counters"]["shard.compactions"] == 1, stats
+assert stats["reloads"] >= 4 and stats["reload_replays"] == 0, stats
+core.close()
+revived = ShardCore(0, "btb:entries=64,assoc=2", sys.argv[1],
+                    max_resident=1, checkpoint_interval=4)
+assert revived.recovery["source"] == "checkpoint", revived.recovery
+print("numpy" in sys.modules)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_stream_for_concatenates_in_order(self, tmp_path):
         core = ShardCore(0, SPEC, tmp_path)

@@ -1,12 +1,14 @@
-"""Measure crash-recovery time: snapshot + tail replay vs full replay.
+"""Measure crash-recovery time: checkpoint + tail replay vs full replay.
 
-Builds paired single-shard runs of growing journal length — one that
-checkpoints (``repro-shard-snapshot/1``) with a small fixed tail past
-the last checkpoint, one that never checkpoints — then times a cold
-:class:`~repro.service.shard.ShardCore` reopen of each.  The
-checkpointed reopen is *snapshot load + tail replay*; the twin's is a
-full-journal replay.  Recovery from a checkpoint must be O(events since
-the checkpoint): flat as the total grows, while full replay grows
+Builds paired single-shard runs of growing history — one that
+checkpoints (``repro-shard-snapshot/2``) with a small fixed tail past
+the checkpoint, one that never checkpoints — then times cold
+:class:`~repro.service.shard.ShardCore` reopens of each, the median of
+:data:`REOPENS` per point, each on a fresh copy of the run.
+The checkpointed reopen is *checkpoint load + tail replay* and reads
+nothing of the sealed journal segments; the twin's is a full-journal
+replay.  A checkpoint holds table state, not history, so recovery from
+one must be flat as the history grows, while full replay grows
 linearly.
 
 Budgets (enforced; nonzero exit on violation):
@@ -14,7 +16,9 @@ Budgets (enforced; nonzero exit on violation):
 * both recovery paths must land on bit-identical per-tenant digests at
   every size — a fast recovery that disagrees with the journal is a
   corruption, not a win;
-* at the largest size, snapshot recovery must be at least
+* checkpoint recovery at the largest size is within +20% of the
+  smallest size's (``check_record``);
+* at the largest size, checkpoint recovery must be at least
   ``--min-speedup`` (default 5) times faster than full replay.
 
 Writes a ``repro-bench-recovery/1`` record::
@@ -25,6 +29,7 @@ Writes a ``repro-bench-recovery/1`` record::
 import argparse
 import json
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -41,6 +46,12 @@ SPEC = "btb:entries=128,assoc=2"
 TENANTS = ("alpha", "beta", "gamma")
 TAIL_BATCHES = 2
 TOTALS = (16, 96, 448)  # batches per run; each batch is ~100 events
+#: Largest point's checkpoint recovery over the smallest's, at most.
+FLAT_BOUND = 1.20
+#: Cold reopens timed per point (the median is kept), and the least a
+#: record may report.
+REOPENS = 9
+MIN_REOPENS = 5
 
 
 def batch_for(bid, tenant_index):
@@ -50,50 +61,62 @@ def batch_for(bid, tenant_index):
 
 
 def build_run(run_dir: Path, total_batches: int, checkpointed: bool) -> int:
-    """Serve ``total_batches`` rounds; returns total events applied."""
+    """Serve ``total_batches`` rounds; returns total events applied.
+
+    The checkpointed run compacts once, :data:`TAIL_BATCHES` rounds
+    before the end: everything before the checkpoint is sealed, and
+    the live segment holds only the tail a restart replays.
+    """
     core = ShardCore(0, SPEC, run_dir)
     events = 0
-    compact_at = total_batches - TAIL_BATCHES
-    # Retention lags by one compaction (the journal base is the *prev*
-    # checkpoint's watermark), so compact twice back-to-back near the
-    # end: the second compaction trims the journal to the records since
-    # the first, leaving the short tail a checkpointed shard really
-    # replays on restart.
-    compact_points = {compact_at - 1, compact_at} if checkpointed else set()
     for bid in range(1, total_batches + 1):
         for index, tenant in enumerate(TENANTS):
             pcs, targets = batch_for(bid, index)
             reply = core.handle(tenant, bid, pcs, targets)
             assert reply["status"] == "ok", reply
             events += len(pcs)
-        if bid in compact_points:
+        if checkpointed and bid == total_batches - TAIL_BATCHES:
             report = core.compact()
             assert report["completed"], report
     core.close()
     return events
 
 
-def time_recovery(run_dir: Path):
-    """(seconds, source, tail_events, digests) of one cold reopen."""
-    started = time.perf_counter()
-    core = ShardCore(0, SPEC, run_dir)
-    elapsed = time.perf_counter() - started
-    recovery = core.recovery
-    digests = {tenant: meta["digest"]
-               for tenant, meta in core.store.snapshot().items()}
-    core.close()
-    return elapsed, recovery["source"], recovery["tail_events"], digests
+def time_recovery(run_dir: Path, reopens: int):
+    """(median seconds, source, tail_events, digests) of cold reopens.
+
+    Each reopen runs on a fresh copy of ``run_dir``; one untimed warm-up
+    reopen first keeps module imports out of the samples.
+    """
+    samples = []
+    for repeat in range(reopens + 1):
+        copy = run_dir.with_name(f"{run_dir.name}-reopen")
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.copytree(run_dir, copy)
+        started = time.perf_counter()
+        core = ShardCore(0, SPEC, copy)
+        elapsed = time.perf_counter() - started
+        if repeat:
+            samples.append(elapsed)
+        recovery = core.recovery
+        digests = {tenant: meta["digest"]
+                   for tenant, meta in core.store.snapshot().items()}
+        core.close()
+        shutil.rmtree(copy)
+    return (statistics.median(samples), recovery["source"],
+            recovery["tail_events"], digests)
 
 
-def measure(total_batches: int, scratch: Path) -> dict:
+def measure(total_batches: int, scratch: Path, reopens: int) -> dict:
     checkpointed = scratch / f"ck-{total_batches}"
     full = scratch / f"full-{total_batches}"
     checkpointed.mkdir()
     full.mkdir()
     total_events = build_run(checkpointed, total_batches, checkpointed=True)
     build_run(full, total_batches, checkpointed=False)
-    snap_s, snap_source, tail_events, snap_digests = time_recovery(checkpointed)
-    full_s, full_source, _, full_digests = time_recovery(full)
+    snap_s, snap_source, tail_events, snap_digests = time_recovery(
+        checkpointed, reopens)
+    full_s, full_source, _, full_digests = time_recovery(full, reopens)
     if snap_source != "checkpoint":
         raise SystemExit(f"error: checkpointed run recovered from "
                          f"{snap_source!r}, not its checkpoint")
@@ -107,6 +130,7 @@ def measure(total_batches: int, scratch: Path) -> dict:
         "total_batches": total_batches,
         "total_events": total_events,
         "tail_events": tail_events,
+        "reopens": reopens,
         "snapshot_recovery_s": round(snap_s, 6),
         "full_replay_s": round(full_s, 6),
         "speedup": round(full_s / max(snap_s, 1e-9), 2),
@@ -114,15 +138,18 @@ def measure(total_batches: int, scratch: Path) -> dict:
 
 
 def check_record(record: dict) -> None:
-    """Exit nonzero unless the record is internally consistent.
+    """Exit nonzero unless the record is consistent and recovery is flat.
 
-    Points grow in journal length, each speedup is derivable from its
-    two times, and the headline is the largest point.
+    Points grow in history length, each a median of at least
+    :data:`MIN_REOPENS` reopens, each speedup is derivable from its two
+    times, the headline is the largest point, and checkpoint recovery at
+    the largest point is within :data:`FLAT_BOUND` of the smallest's.
     """
     last_total = 0
     for point in record["points"]:
         if point["total_batches"] <= last_total \
                 or not 0 < point["tail_events"] <= point["total_events"] \
+                or point.get("reopens", 0) < MIN_REOPENS \
                 or not point["snapshot_recovery_s"] > 0 \
                 or not point["full_replay_s"] > 0:
             raise SystemExit(f"error: inconsistent point {point}")
@@ -138,6 +165,16 @@ def check_record(record: dict) -> None:
             or headline["snapshot_recovery_s"] \
             != largest["snapshot_recovery_s"]:
         raise SystemExit("error: headline is not the largest point")
+    first = record["points"][0]
+    if largest["snapshot_recovery_s"] \
+            > FLAT_BOUND * first["snapshot_recovery_s"]:
+        raise SystemExit(
+            f"error: checkpoint recovery grows with history: "
+            f"{first['snapshot_recovery_s'] * 1000:.2f} ms at "
+            f"{first['total_events']:,} events -> "
+            f"{largest['snapshot_recovery_s'] * 1000:.2f} ms at "
+            f"{largest['total_events']:,} (bound +"
+            f"{(FLAT_BOUND - 1) * 100:.0f}%)")
 
 
 def main(argv=None) -> int:
@@ -153,7 +190,7 @@ def main(argv=None) -> int:
     points = []
     with tempfile.TemporaryDirectory(prefix="bench-recovery-") as scratch:
         for total in TOTALS:
-            point = measure(total, Path(scratch))
+            point = measure(total, Path(scratch), REOPENS)
             points.append(point)
             print(f"  {point['total_batches']:>4} batches "
                   f"({point['total_events']:,} events): snapshot "
