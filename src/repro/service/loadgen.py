@@ -11,9 +11,10 @@ back-pressure and shedding ladders actually fire.
 Outcome accounting is exhaustive: every batch ends ``ok`` (applied or
 deduplicated), ``shed`` (with the server's reason), or ``failed`` (the
 client's retry budget died trying — transport-level, counted but never
-silently dropped).  The client-side cumulative counters are
-cross-checked against the server's replies, so a lost or double-applied
-batch shows up as an inconsistency in the summary.
+silently dropped; the first such batch stops every worker, and the
+batches not yet sent count as failed too).  The client-side cumulative
+counters are cross-checked against the server's replies, so a lost or
+double-applied batch shows up as an inconsistency in the summary.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import suppress
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -92,6 +94,8 @@ class _Totals:
         # Bounded sketch, not a per-batch float list: a long soak stays
         # O(buckets) and the summary keys are unchanged (5% error bound).
         self.latency_hist = LogHistogram()
+        #: set once a batch exhausted its retries: every worker stops.
+        self.abort = threading.Event()
 
 
 def _drive_tenant(
@@ -111,6 +115,8 @@ def _drive_tenant(
     expected_events = 0
     last_counters: Optional[dict] = None
     for batch_index in range(batches):
+        if totals.abort.is_set():
+            return
         start = batch_index * batch_events
         pcs = list(trace.pcs[start:start + batch_events])
         targets = list(trace.targets[start:start + batch_events])
@@ -120,13 +126,14 @@ def _drive_tenant(
                                        pcs=pcs, targets=targets,
                                        priority=priority)
         except Exception as exc:
+            totals.abort.set()
             with totals.lock:
                 totals.sent += 1
                 totals.failed += 1
                 totals.inconsistencies.append(
                     f"{tenant}#{batch_index + 1}: {type(exc).__name__}: "
                     f"{exc}")
-            continue
+            return
         elapsed = time.perf_counter() - began
         with totals.lock:
             totals.sent += 1
@@ -217,18 +224,19 @@ def run_loadgen(
     for thread in threads:
         thread.join()
     wall = time.perf_counter() - started
-
-    final_client = make_client()
-    with final_client:
-        try:
-            server_stats: Optional[dict] = final_client.stats()
-        except Exception:
-            server_stats = None
-        if shutdown:
-            try:
-                final_client.shutdown()
-            except Exception:  # pragma: no cover - server died first
-                pass
+    server_stats: Optional[dict] = None
+    if totals.abort.is_set():  # the server is gone: ask it nothing more
+        unsent = tenants * batches - totals.sent
+        totals.failed += unsent
+        totals.inconsistencies.append(
+            f"server unreachable: {unsent} batch(es) not sent")
+    else:
+        with make_client() as final_client:
+            with suppress(Exception):
+                server_stats = final_client.stats()
+            if shutdown:
+                with suppress(Exception):  # the server may have died first
+                    final_client.shutdown()
 
     summary = {
         "schema": LOADGEN_SCHEMA,

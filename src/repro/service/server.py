@@ -22,12 +22,12 @@ acceptance also counts as ``refused``, so ``service-metrics.json``'s
 books balance: ``accepted + refused == answered + shed``, which
 ``repro verify`` checks.
 
-**Recovery.**  A monitor task watches shard liveness and batch age.  A
-dead or hung shard is killed and respawned with fresh queues — the
-respawned process replays its journal, so every previously accepted
-batch is recovered and in-flight batches are requeued (duplicates are
-deduplicated by batch id).  Respawns count as degradations: the run
-completes, exit code 3 reports that it limped.
+**Recovery.**  Batches are pipelined into each shard's socketpair, read
+on the event loop (no threads), and run FIFO.  A shard whose channel
+closes has died (a monitor task kills a hung one): it is respawned on a
+fresh socketpair, replays its journal, and reruns its in-flight batches
+(duplicates are deduplicated by batch id).  Respawns count as
+degradations: the run completes, exit code 3 reports that it limped.
 
 **Artifacts.**  Shutdown drains in-flight work, snapshots every shard's
 tenants (``tenants-<k>.json`` merged into ``tenants.json``), writes
@@ -53,11 +53,14 @@ import asyncio
 import json
 import multiprocessing
 import os
-import queue as queue_module
+import pickle
+import socket
+import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from multiprocessing import util
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..runtime import chaos
 from ..runtime.metrics import LogHistogram, MetricsRegistry, merge_snapshots
@@ -73,11 +76,25 @@ from .state import (
     TENANTS_SCHEMA, valid_tenant,
 )
 
-#: Monitor cadence (liveness + hang checks).
+#: Monitor cadence (hang checks).
 _MONITOR_SECONDS = 0.05
 
-#: How long a response pump blocks on the queue per poll.
-_PUMP_POLL_SECONDS = 0.2
+#: :class:`multiprocessing.connection.Connection`'s frame header, then a
+#: pickle (trusted, as in :mod:`multiprocessing`: the peer is our child).
+#: Its ``-1`` header, for messages of 2 GiB or more, is a bad frame here.
+_LENGTH = struct.Struct("!i")
+
+
+def _send(channel: asyncio.StreamWriter, message) -> None:
+    """Write one message as ``Connection.send`` would."""
+    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    channel.write(_LENGTH.pack(len(payload)) + payload)
+
+
+async def _read_message(reader: asyncio.StreamReader):
+    """Read one message written by ``Connection.send``."""
+    (size,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
+    return pickle.loads(await reader.readexactly(size))
 
 
 def latency_summary(samples: List[float]) -> dict:
@@ -98,27 +115,20 @@ def latency_summary(samples: List[float]) -> dict:
     }
 
 
-class _Batch:
+class _Batch(NamedTuple):
     """One admitted events batch awaiting its terminal answer."""
 
-    __slots__ = ("req_id", "shard_id", "tenant", "bid", "priority",
-                 "pcs", "targets", "want_predictions", "future",
-                 "accepted_at", "backpressure")
-
-    def __init__(self, req_id, shard_id, tenant, bid, priority, pcs,
-                 targets, want_predictions, future, accepted_at,
-                 backpressure):
-        self.req_id = req_id
-        self.shard_id = shard_id
-        self.tenant = tenant
-        self.bid = bid
-        self.priority = priority
-        self.pcs = pcs
-        self.targets = targets
-        self.want_predictions = want_predictions
-        self.future = future
-        self.accepted_at = accepted_at
-        self.backpressure = backpressure
+    req_id: int
+    shard_id: int
+    tenant: str
+    bid: int
+    priority: int
+    pcs: list
+    targets: list
+    want_predictions: bool
+    future: asyncio.Future
+    accepted_at: float
+    backpressure: bool
 
 
 class _Shard:
@@ -127,15 +137,20 @@ class _Shard:
     def __init__(self, shard_id: int, max_attempts: int) -> None:
         self.id = shard_id
         self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self.request_queue = None
-        self.response_queue = None
+        #: our end of the shard's socketpair (None: closed), its reader
+        self.channel: Optional[asyncio.StreamWriter] = None
+        self.reader: Optional[asyncio.Task] = None
         self.scheduler = Scheduler([], max_attempts=max_attempts)
         self.generation = 0
         self.respawns = 0
         self.failed = False
         self.stopping = False
-        #: req_id -> monotonic dispatch time (for the hang watchdog).
+        #: why the monitor killed the current process (None: it did not).
+        self.kill_reason: Optional[str] = None
+        #: req_id -> monotonic dispatch time, in dispatch order.
         self.inflight: Dict[int, float] = {}
+        #: when the shard last sent a message: it sends none mid-batch.
+        self.heard_at = 0.0
 
 
 class PredictionServer:
@@ -210,9 +225,6 @@ class PredictionServer:
         self._draining = False
         self._stop_requested: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=2 * shards + 2, thread_name_prefix="svc-pump")
-        self._pump_tasks: List[asyncio.Task] = []
         self._monitor_task: Optional[asyncio.Task] = None
         self.stats_interval = stats_interval
         self.checkpoint_interval = checkpoint_interval
@@ -235,7 +247,7 @@ class PredictionServer:
             "accept_faults": 0, "requeues": 0,
         }
         self.sheds_by_reason: Dict[str, int] = {}
-        self.degradations: Dict[str, int] = {}
+        self.degradations: Dict[str, int] = Counter()
         self._sheds_log = RecordLog(
             self.run_dir / "sheds.jsonl", {"schema": SHEDS_SCHEMA})
 
@@ -245,7 +257,7 @@ class PredictionServer:
         """Spawn the shards, bind the listener, write ``endpoint.json``."""
         self._stop_requested = asyncio.Event()
         for shard in self._shards:
-            self._spawn(shard)
+            await self._spawn(shard)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -409,11 +421,10 @@ class PredictionServer:
     # -- dispatch + responses ------------------------------------------------
 
     def _pump_dispatch(self, shard: _Shard) -> None:
-        """Feed the shard (one batch outstanding: it is single-threaded)."""
-        if (shard.failed or shard.stopping or shard.process is None
-                or not shard.process.is_alive()):
+        """Write every pending batch to the shard; it runs them FIFO."""
+        if shard.failed or shard.stopping or shard.channel is None:
             return
-        while shard.scheduler.in_flight_count < 1:
+        while True:
             unit = shard.scheduler.acquire(shard.id)
             if unit is None:
                 return
@@ -422,24 +433,10 @@ class PredictionServer:
                 shard.scheduler.complete(unit.unit_id)
                 continue
             shard.inflight[unit.unit_id] = time.monotonic()
-            shard.request_queue.put((
+            _send(shard.channel, (
                 "batch", unit.unit_id, batch.tenant, batch.bid,
                 batch.pcs, batch.targets, batch.want_predictions,
             ))
-
-    async def _pump_responses(self, shard: _Shard, generation: int,
-                              response_queue) -> None:
-        loop = asyncio.get_running_loop()
-        while shard.generation == generation and not shard.stopping:
-            try:
-                message = await loop.run_in_executor(
-                    self._executor, response_queue.get, True,
-                    _PUMP_POLL_SECONDS)
-            except queue_module.Empty:
-                continue
-            except RuntimeError:  # pragma: no cover - executor torn down
-                return
-            self._handle_shard_message(shard, message)
 
     def _handle_shard_message(self, shard: _Shard, message) -> None:
         kind = message[0]
@@ -463,7 +460,6 @@ class PredictionServer:
                     **reply, "shard": shard.id, "tenant": batch.tenant,
                     "bid": batch.bid, "backpressure": batch.backpressure,
                 })
-            self._pump_dispatch(shard)
         elif kind == "shed":
             _, req_id, reason = message
             shard.inflight.pop(req_id, None)
@@ -471,7 +467,6 @@ class PredictionServer:
             batch = self._batches.get(req_id)
             if batch is not None:
                 self._resolve_shed(batch, reason)
-            self._pump_dispatch(shard)
         elif kind == "err":
             _, req_id, error_type, error_message = message
             shard.inflight.pop(req_id, None)
@@ -501,91 +496,118 @@ class PredictionServer:
             _, name, attrs = message
             self.tracer.event(name, **attrs)
             if name == "journal_off":
-                self.degradations["service_journal_off"] = (
-                    self.degradations.get("service_journal_off", 0) + 1)
+                self.degradations["service_journal_off"] += 1
             elif name == "checkpoint_fallback":
                 # A shard salvaged past a corrupt/stale checkpoint on
                 # recovery; survivable, but the manifest must say so.
-                self.degradations["checkpoint_fallback"] = (
-                    self.degradations.get("checkpoint_fallback", 0)
-                    + attrs.get("count", 1))
-        elif kind == "stopped":
-            shard.stopping = True
+                self.degradations["checkpoint_fallback"] += attrs.get(
+                    "count", 1)
 
     # -- monitoring + recovery -----------------------------------------------
 
     async def _monitor(self) -> None:
         while True:
             await asyncio.sleep(_MONITOR_SECONDS)
+            now = time.monotonic()
             for shard in self._shards:
-                if shard.failed or shard.stopping or shard.process is None:
+                if (shard.stopping or shard.channel is None
+                        or shard.kill_reason or not shard.inflight):
                     continue
-                alive = shard.process.is_alive()
-                now = time.monotonic()
-                hung = alive and any(
-                    now - since > self.batch_deadline
-                    for since in shard.inflight.values())
-                if alive and not hung:
-                    continue
-                if hung:
-                    reason = f"hung > {self.batch_deadline}s"
+                # The running batch is the oldest in flight: it started
+                # at its dispatch or at the shard's last message.
+                started = max(next(iter(shard.inflight.values())),
+                              shard.heard_at)
+                if now - started > self.batch_deadline:
+                    shard.kill_reason = f"hung > {self.batch_deadline}s"
                     shard.process.kill()
-                    shard.process.join(timeout=5.0)
-                else:
-                    reason = f"exited with code {shard.process.exitcode}"
-                self.tracer.event("shard_exit", shard=shard.id,
-                                  reason=reason,
-                                  inflight=len(shard.inflight))
-                shard.inflight.clear()
-                for unit, outcome in shard.scheduler.worker_lost(
-                        shard.id, reason):
-                    if outcome == POISONED:
-                        batch = self._batches.get(unit.unit_id)
-                        if batch is not None:
-                            self._resolve_shed(batch, "poisoned")
-                    else:
-                        self.counters["requeues"] += 1
-                if self._respawns_used >= self.respawn_budget:
-                    self._fail_shard(shard, reason)
-                    continue
-                self._respawns_used += 1
-                shard.respawns += 1
-                self.degradations["shard_respawn"] = (
-                    self.degradations.get("shard_respawn", 0) + 1)
-                self._spawn(shard)
-                self.tracer.event("shard_respawn", shard=shard.id,
-                                  generation=shard.generation)
-                self._pump_dispatch(shard)
+
+    async def _read_channel(self, shard: _Shard, generation: int,
+                            reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> None:
+        """Handle each message a shard sends; recover it once it is gone."""
+        try:
+            while True:
+                message = await _read_message(reader)
+                shard.heard_at = time.monotonic()
+                self._handle_shard_message(shard, message)
+        except (asyncio.IncompleteReadError, OSError):
+            pass
+        except (ValueError, pickle.UnpicklingError) as exc:
+            # A frame out of step: nothing after it can be trusted.
+            shard.kill_reason = f"bad frame: {exc}"
+            shard.process.kill()
+        writer.close()
+        if shard.generation == generation:
+            shard.channel = None
+            if not shard.stopping:
+                await self._recover(shard)
+
+    async def _recover(self, shard: _Shard) -> None:
+        """The shard's channel closed under it: requeue, then respawn."""
+        shard.process.join(timeout=5.0)
+        if shard.process.is_alive():  # pragma: no cover - closed, yet runs
+            shard.process.kill()
+            shard.process.join(timeout=5.0)
+        reason = (shard.kill_reason
+                  or f"exited with code {shard.process.exitcode}")
+        self.tracer.event("shard_exit", shard=shard.id, reason=reason,
+                          inflight=len(shard.inflight))
+        # In dispatch order; only the running batch (the oldest) is
+        # charged an attempt, the ones queued behind it get theirs back.
+        running = next(iter(shard.inflight), None)
+        shard.inflight.clear()
+        if running is not None:
+            if shard.scheduler.fail(running, reason) == POISONED:
+                batch = self._batches.get(running)
+                if batch is not None:
+                    self._resolve_shed(batch, "poisoned")
+            else:
+                self.counters["requeues"] += 1
+        self.counters["requeues"] += len(
+            shard.scheduler.release_worker(shard.id))
+        if self._respawns_used >= self.respawn_budget:
+            self._fail_shard(shard, reason)
+            return
+        self._respawns_used += 1
+        shard.respawns += 1
+        self.degradations["shard_respawn"] += 1
+        await self._spawn(shard)
+        self.tracer.event("shard_respawn", shard=shard.id,
+                          generation=shard.generation)
+        self._pump_dispatch(shard)
 
     def _fail_shard(self, shard: _Shard, reason: str) -> None:
         """Respawn budget spent: every batch routed here is shed, loudly."""
         shard.failed = True
-        self.degradations["shard_failed"] = (
-            self.degradations.get("shard_failed", 0) + 1)
+        self.degradations["shard_failed"] += 1
         self.tracer.event("shard_failed", shard=shard.id, reason=reason)
         for batch in [b for b in self._batches.values()
                       if b.shard_id == shard.id]:
             self._resolve_shed(batch, "shard_unavailable")
 
-    def _spawn(self, shard: _Shard) -> None:
+    async def _spawn(self, shard: _Shard, snapshot_only: bool = False) -> None:
+        """Start the shard's next process on a fresh socketpair."""
         shard.generation += 1
-        shard.request_queue = self._ctx.Queue()
-        shard.response_queue = self._ctx.Queue()
-        plan = chaos.active()
+        shard.kill_reason = None
+        plan = None if snapshot_only else chaos.active()
         plan_path = str(plan.path) if getattr(plan, "path", None) else None
+        ours, theirs = socket.socketpair()
+        # Children forked from now on drop their copy of our end, so a
+        # shard reads EOF once the server's own copy is gone.
+        util.register_after_fork(ours, socket.socket.close)
         shard.process = self._ctx.Process(
             target=shard_main,
-            args=(shard.id, self.spec, str(self.run_dir),
-                  shard.request_queue, shard.response_queue, plan_path,
+            args=(shard.id, self.spec, str(self.run_dir), theirs, plan_path,
                   self.max_resident, os.getpid(), self.stats_interval,
-                  self.checkpoint_interval),
+                  0 if snapshot_only else self.checkpoint_interval),
             daemon=True,
             name=f"repro-shard-{shard.id}",
         )
         shard.process.start()
-        self._pump_tasks.append(asyncio.ensure_future(
-            self._pump_responses(shard, shard.generation,
-                                 shard.response_queue)))
+        theirs.close()
+        reader, shard.channel = await asyncio.open_unix_connection(sock=ours)
+        shard.reader = asyncio.ensure_future(self._read_channel(
+            shard, shard.generation, reader, shard.channel))
 
     # -- live metrics --------------------------------------------------------
 
@@ -642,8 +664,7 @@ class PredictionServer:
                 stream.close()
             except OSError:  # pragma: no cover - double-fault close
                 pass
-            self.degradations["metrics_stream_off"] = (
-                self.degradations.get("metrics_stream_off", 0) + 1)
+            self.degradations["metrics_stream_off"] += 1
             self.tracer.event("metrics_stream_off", path=str(stream.path))
 
     async def _stream_metrics(self) -> None:
@@ -656,15 +677,14 @@ class PredictionServer:
     async def _stats(self) -> dict:
         shard_stats: List[dict] = []
         for shard in self._shards:
-            if (shard.failed or shard.process is None
-                    or not shard.process.is_alive()):
+            if shard.failed or shard.stopping or shard.channel is None:
                 shard_stats.append({"shard": shard.id, "available": False})
                 continue
             self._next_req += 1
             req_id = self._next_req
             waiter = asyncio.get_running_loop().create_future()
             self._stats_waiters[req_id] = waiter
-            shard.request_queue.put(("stats", req_id))
+            _send(shard.channel, ("stats", req_id))
             try:
                 payload = await asyncio.wait_for(waiter, timeout=5.0)
                 payload["available"] = True
@@ -698,30 +718,27 @@ class PredictionServer:
             self._server.close()
             await self._server.wait_closed()
         deadline = time.monotonic() + drain_timeout
-        while time.monotonic() < deadline:
-            outstanding = [
-                shard for shard in self._shards
-                if not shard.failed
-                and (shard.scheduler.pending_depth
-                     or shard.scheduler.in_flight_count)
-            ]
-            if not outstanding:
-                break
-            for shard in outstanding:
-                self._pump_dispatch(shard)
+        # Admission, answers and respawns dispatch what is pending.
+        while time.monotonic() < deadline and any(
+                not shard.failed and (shard.scheduler.pending_depth
+                                      or shard.scheduler.in_flight_count)
+                for shard in self._shards):
             await asyncio.sleep(_MONITOR_SECONDS)
-        for batch in list(self._batches.values()):
-            self._resolve_shed(batch, "shutting_down")
         if self._monitor_task is not None:
             self._monitor_task.cancel()
         if self._stream_task is not None:
             self._stream_task.cancel()
         for shard in self._shards:
-            self._stop_shard(shard)
-        self._drain_final_metrics()
-        for task in self._pump_tasks:
-            task.cancel()
-        self._executor.shutdown(wait=False)
+            shard.stopping = True  # a channel closing now respawns nothing
+        # Past the deadline, what no shard holds is shed.  What a shard
+        # holds it runs ahead of ``stop``, so those replies still come.
+        for batch in list(self._batches.values()):
+            if batch.req_id not in self._shards[batch.shard_id].inflight:
+                self._resolve_shed(batch, "shutting_down")
+        for shard in self._shards:
+            await self._stop_shard(shard)
+        for batch in list(self._batches.values()):  # lost with its shard
+            self._resolve_shed(batch, "shutting_down")
         self._merge_snapshots()
         self._sheds_log.close()
         self._stream_write("final")
@@ -733,62 +750,31 @@ class PredictionServer:
                                 shards=len(self._shards))
         self.tracer.event("server_stop", **self.counters)
         self.tracer.close()
-        self._collect_degradations()
+        if self.tracer.counters.get("telemetry_off"):
+            self.degradations["telemetry_off"] = self.tracer.counters[
+                "telemetry_off"]
         self._write_run_manifest()
         return 3 if self.degradations else 0
 
-    def _stop_shard(self, shard: _Shard) -> None:
+    async def _stop_shard(self, shard: _Shard) -> None:
         """Stop (or briefly resurrect) a shard for its final snapshot.
 
         A failed/dead shard is respawned once outside the budget purely
         to replay its journal and write ``tenants-<k>.json`` — its
         accepted state must reach the merged snapshot even though it
-        stopped serving.
+        stopped serving.  Its final metrics arrive ahead of its EOF.
         """
-        if shard.process is None or not shard.process.is_alive():
-            shard.stopping = False
-            shard.generation += 1  # detach any pump from the old queues
-            shard.request_queue = self._ctx.Queue()
-            shard.response_queue = self._ctx.Queue()
-            shard.process = self._ctx.Process(
-                target=shard_main,
-                args=(shard.id, self.spec, str(self.run_dir),
-                      shard.request_queue, shard.response_queue, None,
-                      self.max_resident, os.getpid(), self.stats_interval,
-                      0),
-                daemon=True,
-                name=f"repro-shard-{shard.id}-snapshot",
-            )
-            shard.process.start()
-        shard.request_queue.put(("stop",))
-        shard.process.join(timeout=15.0)
-        if shard.process.is_alive():  # pragma: no cover - wedged shard
+        if shard.channel is None and not shard.reader.done():
+            await shard.reader  # its respawn is under way
+        if shard.channel is None:
+            await self._spawn(shard, snapshot_only=True)
+        _send(shard.channel, ("stop",))
+        try:
+            await asyncio.wait_for(asyncio.shield(shard.reader), timeout=15.0)
+        except asyncio.TimeoutError:  # pragma: no cover - wedged shard
             shard.process.kill()
-            shard.process.join(timeout=5.0)
-            self.degradations["snapshot_missing"] = (
-                self.degradations.get("snapshot_missing", 0) + 1)
-        shard.stopping = True
-
-    def _drain_final_metrics(self) -> None:
-        """Collect the final metrics snapshot each shard pushed on stop.
-
-        The pumps may already be winding down when the stop sentinel's
-        last ``("metrics", ...)`` message lands, so the queues are
-        drained directly; non-metrics stragglers are dropped (their
-        batches were already resolved as ``shutting_down`` sheds).
-        """
-        for shard in self._shards:
-            if shard.response_queue is None:
-                continue
-            while True:
-                try:
-                    message = shard.response_queue.get_nowait()
-                except queue_module.Empty:
-                    break
-                except (OSError, ValueError):  # pragma: no cover - closed
-                    break
-                if message[0] == "metrics":
-                    self._shard_metrics[message[1]] = message[2]
+            self.degradations["snapshot_missing"] += 1
+        shard.process.join(timeout=5.0)
 
     def _merge_snapshots(self) -> Path:
         tenants: Dict[str, dict] = {}
@@ -796,8 +782,7 @@ class PredictionServer:
         for shard in self._shards:
             path = snapshot_path(self.run_dir, shard.id)
             if not path.exists():
-                self.degradations["snapshot_missing"] = (
-                    self.degradations.get("snapshot_missing", 0) + 1)
+                self.degradations["snapshot_missing"] += 1
                 continue
             data = json.loads(path.read_text())
             shards_meta.append({
@@ -847,12 +832,6 @@ class PredictionServer:
         target.write_text(json.dumps(payload, indent=2, sort_keys=True)
                           + "\n")
         return target
-
-    def _collect_degradations(self) -> None:
-        for name in ("telemetry_off",):
-            count = self.tracer.counters.get(name, 0)
-            if count:
-                self.degradations[name] = count
 
     def _write_run_manifest(self) -> Path:
         artifacts = {

@@ -1,7 +1,8 @@
 """The shard worker process: owns one partition of the tenant space.
 
-A shard is a single-threaded loop over a multiprocessing request queue.
-Per batch it runs the exactly-once ladder:
+A shard is a single-threaded loop over its end of a socketpair, running
+the batches the server pipelines into it in arrival order.  Per batch
+it runs the exactly-once ladder:
 
 1. **chaos crossings** — ``service.slow_shard`` (stall) and
    ``service.shard_exit`` (SIGKILL) fire here, *before* the journal
@@ -39,11 +40,14 @@ from __future__ import annotations
 
 import json
 import os
-import queue
+import select
 import signal
+import socket
 import sys
 import time
 import traceback
+from collections import deque
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -71,7 +75,7 @@ COMPACTION_STEPS = (
     "journal_opened",             # 4: fresh live segment at base W
 )
 
-#: Seconds a shard blocks on its request queue before orphan-checking.
+#: Seconds a shard waits on its channel before orphan-checking.
 _POLL_SECONDS = 0.2
 
 
@@ -535,24 +539,28 @@ def shard_main(
     shard_id: int,
     spec: str,
     run_dir: str,
-    request_queue,
-    response_queue,
+    channel: socket.socket,
     chaos_plan_path: Optional[str],
     max_resident: int,
     parent_pid: int,
     metrics_interval: float = 1.0,
     checkpoint_interval: int = 0,
 ) -> None:
-    """Process entry point: recover shard state, then serve the queue.
+    """Process entry point: recover shard state, then serve ``channel``.
 
-    Message grammar (requests): ``("batch", req_id, tenant, bid, pcs,
-    targets, want_predictions)``, ``("stats", req_id)``, ``("stop",)``.
-    Responses: ``("ok", req_id, reply)``, ``("shed", req_id, reason)``,
-    ``("err", req_id, type, message)``, ``("event", name, attrs)``,
-    ``("span", name, seconds, attrs)``,
-    ``("stats", req_id, payload)``, ``("metrics", shard_id, snapshot)``,
-    ``("stopped", shard_id)``.
+    ``channel`` is the shard's end of its socketpair, used as a
+    :class:`~multiprocessing.connection.Connection`.  Requests, run in
+    arrival order: ``("batch", req_id, tenant, bid, pcs, targets,
+    want_predictions)``, ``("stop",)``; ``("stats", req_id)`` is
+    answered ahead of queued batches.  Messages back: ``("ok", req_id,
+    reply)``, ``("shed", req_id, reason)``, ``("err", req_id, type,
+    message)``, ``("event", name, attrs)``, ``("span", name, seconds,
+    attrs)``, ``("stats", req_id, payload)``, ``("metrics", shard_id,
+    snapshot)`` — on ``stop``, the last before the shard exits.  A closed
+    channel or a changed parent pid means the server is gone: the shard
+    exits quietly, an orphan.
     """
+    conn = Connection(channel.detach())
     if chaos_plan_path:
         # Share the parent's fired-fault tickets, like pool workers do.
         chaos.install(chaos.ChaosPlan.load(chaos_plan_path))
@@ -565,20 +573,21 @@ def shard_main(
         if core.recovery.get("fallbacks"):
             # Salvaged past a corrupt/stale checkpoint: survivable, but
             # the server must record the degradation in its manifest.
-            response_queue.put(("event", "checkpoint_fallback", {
+            conn.send(("event", "checkpoint_fallback", {
                 "shard": shard_id,
                 "count": core.recovery["fallbacks"],
                 "quarantined": core.recovery["quarantined"],
                 "source": core.recovery["source"],
             }))
-        response_queue.put(("event", "shard_ready", {
+        conn.send(("event", "shard_ready", {
             "shard": shard_id, "replayed": core.replayed,
             "recovery": core.recovery,
         }))
-        _shard_loop(core, request_queue, response_queue, parent_pid,
-                    metrics_interval)
+        _shard_loop(core, conn, parent_pid, metrics_interval)
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        return  # orphaned: the server closed its end of the channel
     except Exception as exc:  # pragma: no cover - crash diagnostics
-        response_queue.put(("event", "shard_error", {
+        conn.send(("event", "shard_error", {
             "shard": shard_id,
             "error": f"{type(exc).__name__}: {exc}",
             "trace": traceback.format_exc(limit=5),
@@ -589,8 +598,8 @@ def shard_main(
             core.close()
 
 
-def _shard_loop(core: ShardCore, request_queue, response_queue,
-                parent_pid: int, metrics_interval: float = 1.0) -> None:
+def _shard_loop(core: ShardCore, conn: Connection, parent_pid: int,
+                metrics_interval: float = 1.0) -> None:
     journal_was_disabled = False
     last_publish = time.monotonic()
 
@@ -601,50 +610,51 @@ def _shard_loop(core: ShardCore, request_queue, response_queue,
         now = time.monotonic()
         if now - last_publish >= metrics_interval:
             last_publish = now
-            response_queue.put(("metrics", core.shard_id,
-                                core.metrics_snapshot()))
+            conn.send(("metrics", core.shard_id, core.metrics_snapshot()))
 
+    ready = select.poll()
+    ready.register(conn.fileno(), select.POLLIN)
+    queued = deque()
     while True:
-        try:
-            message = request_queue.get(timeout=_POLL_SECONDS)
-        except queue.Empty:
+        # Take in every request already sent before the next batch runs:
+        # ``stats`` is answered at once, not behind the pipelined batches.
+        while ready.poll(0 if queued else _POLL_SECONDS * 1000):
+            message = conn.recv()
+            if message[0] == "stats":
+                conn.send(("stats", message[1], core.stats()))
+            else:
+                queued.append(message)
+        if not queued:
             if os.getppid() != parent_pid:
                 return  # orphaned: the server died without stopping us
             maybe_publish()
             continue
-        kind = message[0]
-        if kind == "stop":
-            response_queue.put(("metrics", core.shard_id,
-                                core.metrics_snapshot()))
+        message = queued.popleft()
+        if message[0] == "stop":
+            conn.send(("metrics", core.shard_id, core.metrics_snapshot()))
             core.write_snapshot()
-            response_queue.put(("stopped", core.shard_id))
             return
-        if kind == "stats":
-            response_queue.put(("stats", message[1], core.stats()))
-            continue
         _, req_id, tenant, bid, pcs, targets, want_predictions = message
         started = time.perf_counter()
         try:
             reply = core.handle(tenant, bid, pcs, targets, want_predictions)
         except ReproError as exc:
-            response_queue.put(("err", req_id, type(exc).__name__, str(exc)))
+            conn.send(("err", req_id, type(exc).__name__, str(exc)))
             continue
         elapsed = time.perf_counter() - started
         core.metrics.histogram("shard.batch_seconds").observe(elapsed)
         if core.last_compaction is not None:
             report, core.last_compaction = core.last_compaction, None
-            response_queue.put(("span", "compact", report["seconds"], {
+            conn.send(("span", "compact", report["seconds"], {
                 "shard": core.shard_id,
                 "journal_records": report["journal_records"],
             }))
         maybe_publish()
         reply["shard_seconds"] = round(elapsed, 6)
         if reply["status"] == "shed":
-            response_queue.put(("shed", req_id, reply["reason"]))
+            conn.send(("shed", req_id, reply["reason"]))
         else:
-            response_queue.put(("ok", req_id, reply))
+            conn.send(("ok", req_id, reply))
         if core.journal.disabled and not journal_was_disabled:
             journal_was_disabled = True
-            response_queue.put(("event", "journal_off", {
-                "shard": core.shard_id,
-            }))
+            conn.send(("event", "journal_off", {"shard": core.shard_id}))

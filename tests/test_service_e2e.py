@@ -185,6 +185,44 @@ class TestServeEndToEnd:
         # And no --port/--endpoint at all is a usage error (exit 2).
         assert main(["stats"]) == 2
 
+    def test_loadgen_gives_up_when_its_server_dies(self, tmp_path):
+        run_dir = tmp_path / "run"
+        process, _ = _start_server(run_dir)
+        tenants, batches = 6, 2000
+        loadgen = subprocess.Popen(
+            [sys.executable, "-m", "repro", "loadgen",
+             "--endpoint", str(run_dir / "endpoint.json"),
+             "--tenants", str(tenants), "--batches", str(batches),
+             "--batch-events", "32", "--concurrency", "3",
+             "--out", str(tmp_path / "loadgen.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_env())
+        try:
+            # Mid-run: once the shards have journalled some batches.
+            journals = [run_dir / f"journal-{k}.jsonl" for k in (0, 1)]
+            deadline = time.monotonic() + 30
+            while sum(len(path.read_bytes().splitlines())
+                      for path in journals if path.exists()) < 40:
+                assert time.monotonic() < deadline, "no batch journalled"
+                assert loadgen.poll() is None, loadgen.communicate()
+                time.sleep(0.02)
+            process.kill()
+            process.wait()
+            _, stderr = loadgen.communicate(timeout=20)
+        finally:
+            for child in (loadgen, process):
+                if child.poll() is None:
+                    child.kill()
+                    child.communicate()
+        assert loadgen.returncode == 4, stderr
+        assert "server unreachable" in stderr
+        summary = json.loads((tmp_path / "loadgen.json").read_text())
+        # Every batch not answered is counted, sent or not.
+        assert summary["failed"] > 1
+        assert summary["sent"] < tenants * batches
+        assert (summary["ok"] + summary["shed"] + summary["failed"]
+                == tenants * batches)
+
     def test_sigint_mid_stream_exits_4_without_manifest(self, tmp_path):
         run_dir = tmp_path / "run"
         process, info = _start_server(run_dir)
