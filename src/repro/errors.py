@@ -4,10 +4,11 @@ All errors raised by this library derive from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause without
 swallowing unrelated bugs.
 
-Errors carry a structured ``context`` dict (benchmark, config label,
-elapsed time, attempt count, ...) populated by the execution-policy layer
-(:mod:`repro.runtime.policies`) so that a failure deep inside a sweep can
-be reported — and journalled — with enough information to retry or skip it.
+Errors carry a structured ``context`` dict (poisoned units, attempt
+budget, per-attempt errors, ...) populated by the runtime layer (the
+parallel pool's poisoned-unit report, the service client's exhausted
+retries) so that a failure deep inside a sweep can be reported with
+enough information to retry or skip it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ class ReproError(Exception):
 
     Attributes:
         context: structured diagnostic fields attached as the error
-            propagates (e.g. ``benchmark``, ``config``, ``elapsed``,
-            ``attempt``).  Empty for errors raised outside the runtime
-            layer.
+            propagates (e.g. ``poisoned_units``, ``max_attempts``,
+            ``sweep_point``).  Empty for errors raised outside the
+            runtime layer.
     """
 
     def __init__(self, *args: object) -> None:
@@ -89,15 +90,6 @@ class FaultInjectedError(SimulationError):
     Raised by the chaos layer's ``error``-mode faults
     (:meth:`repro.runtime.chaos.ChaosPlan.inject`) and by test doubles
     that model raise-on-Nth-call crashes.
-    """
-
-
-class DeadlineError(SimulationError):
-    """A simulation exceeded its per-run deadline.
-
-    Not retried by the execution policy: a run that blew its budget once
-    will blow it again, so the failure is surfaced immediately with the
-    elapsed time in :attr:`ReproError.context`.
     """
 
 

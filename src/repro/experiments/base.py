@@ -106,7 +106,6 @@ def checkpointed_runner(
     resume: bool = False,
     benchmarks: Optional[List[str]] = None,
     scale: Optional[float] = None,
-    policy: Optional[object] = None,
     workers: int = 1,
     trace_log: Optional[Union[str, Path]] = None,
     attribution: bool = False,
@@ -155,7 +154,6 @@ def checkpointed_runner(
         scale=scale,
         cache_dir=directory / "traces",
         checkpoint=journal,
-        policy=policy,
         workers=workers,
         trace_log=trace_log,
         attribution=attribution,

@@ -12,14 +12,14 @@ sweeps survivable:
 * :mod:`repro.runtime.checkpoint` — an append-only JSONL journal of
   completed ``(config, benchmark) -> SimulationResult`` records so a killed
   run resumes where it stopped;
-* :mod:`repro.runtime.policies` — per-simulation deadline and bounded
-  retry-with-backoff, attaching structured error context;
 * :mod:`repro.runtime.scheduler` — work-unit decomposition, the pure
   pending/in-flight/poisoned scheduling core, and :class:`RunMetrics`
   observability records;
 * :mod:`repro.runtime.parallel` — :class:`ParallelExecutor`, a
   crash-recovering ``multiprocessing`` worker pool that streams results
-  back for incremental journalling;
+  back for incremental journalling (each worker runs units through the
+  serial runner's unit body, and a pool out of respawns leaves the rest
+  to the runner's serial path);
 * :mod:`repro.runtime.chaos` — deterministic, seed-driven chaos plans:
   named fault injections (cache corruption, disk-full stores, journal and
   telemetry write errors, worker crashes/hangs) scheduled by a journalled
@@ -55,7 +55,6 @@ from .chaos import (
 from .checkpoint import CheckpointJournal, config_key
 from .faults import corrupt_file, truncate_file
 from .parallel import ParallelExecutor
-from .policies import ExecutionPolicy, run_with_policy
 from .scheduler import RunMetrics, Scheduler, WorkUnit
 from .records import RecordLog
 from .telemetry import PhaseStats, Tracer, read_trace_log
@@ -65,7 +64,6 @@ __all__ = [
     "ChaosPlan",
     "CheckpointJournal",
     "DEGRADATION_EVENTS",
-    "ExecutionPolicy",
     "FaultInjectedError",
     "FaultSpec",
     "INJECTION_POINTS",
@@ -85,7 +83,6 @@ __all__ = [
     "fire_once",
     "install",
     "read_trace_log",
-    "run_with_policy",
     "truncate_file",
     "uninstall",
 ]

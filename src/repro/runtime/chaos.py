@@ -41,8 +41,8 @@ point              fired from                   modes
 ================== ============================ ===========================
 
 Faults raising :class:`~repro.errors.FaultInjectedError` are
-transient (retryable under an execution policy / the parallel requeue
-budget); ``disk_full`` / ``io_error`` raise :class:`OSError` and exercise
+transient (retryable under the parallel pool's requeue budget);
+``disk_full`` / ``io_error`` raise :class:`OSError` and exercise
 the graceful-degradation ladder (cache → in-memory, journal → off,
 telemetry → off) documented in DESIGN.md §3.9.
 
@@ -131,7 +131,7 @@ SERVICE_POINTS: Tuple[str, ...] = (
 #: Telemetry event names announcing a graceful-degradation transition.
 DEGRADATION_EVENTS = (
     "cache_fallback",    # disk-full cache store -> in-memory cache
-    "serial_fallback",   # respawn budget exhausted -> serial drain
+    "serial_fallback",   # respawn budget exhausted -> runner's serial path
     "checkpoint_off",    # journal append failed -> checkpointing disabled
     "telemetry_off",     # trace-log sink failed -> in-memory aggregates only
 )

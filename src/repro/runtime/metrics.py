@@ -26,8 +26,9 @@ by the ``latency_summary`` keys in ``repro-service-metrics/1``.
 
 **Merge determinism.** Counters, gauges and bucket counts are integers;
 the histogram sum is tracked in integer *nano-units* (``sum_units`` =
-``round(v * 1e9)`` per observation) because float addition is not
-associative; min/max are order-independent.  Integer addition is exactly
+``round(v * 1e9)`` per observation, rounded from the exact product, not
+a float one) because float addition is not associative; min/max are
+order-independent.  Integer addition is exactly
 commutative and associative, so ``merge_snapshots(perm)`` yields identical
 ``snapshot_bytes`` for every permutation — property-tested in
 ``tests/test_metrics_registry.py``.
@@ -54,7 +55,20 @@ MIN_TRACKABLE = 1e-9
 MAX_TRACKABLE = 1e9
 
 #: Scale for the exactly-merged integer sum: one unit = 1e-9 of a value.
-SUM_UNIT = 1e9
+SUM_UNIT = 10 ** 9
+
+
+def _nano_units(value: float) -> int:
+    """``round(value * SUM_UNIT)`` of the exact product (half to even).
+
+    The float product rounds once more above 2**53 nano-units (about
+    9e6 s), which would make the mean inexact; the integer ratio does not.
+    """
+    numerator, denominator = value.as_integer_ratio()
+    units, rest = divmod(numerator * SUM_UNIT, denominator)
+    if 2 * rest > denominator or (2 * rest == denominator and units & 1):
+        units += 1
+    return units
 
 
 class Counter:
@@ -123,7 +137,7 @@ class LogHistogram:
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"histogram value must be finite and >= 0, got {value}")
         self.count += 1
-        self.sum_units += int(round(value * SUM_UNIT))
+        self.sum_units += _nano_units(value)
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
         if value < MIN_TRACKABLE:
@@ -171,7 +185,7 @@ class LogHistogram:
     def mean(self) -> Optional[float]:
         if self.count == 0:
             return None
-        return self.sum_units / SUM_UNIT / self.count
+        return self.sum_units / (SUM_UNIT * self.count)
 
     def summary(self) -> dict:
         """``latency_summary``-compatible digest (count/p50_s/p99_s/max_s).

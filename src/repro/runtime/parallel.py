@@ -5,7 +5,10 @@
 benchmark)`` simulation each — across worker processes and streams
 completed :class:`~repro.sim.engine.SimulationResult`\\ s back to the
 parent as they finish, so the caller can journal them incrementally and a
-killed parent loses at most the units in flight.
+killed parent loses at most the units in flight.  Each worker runs its
+units through a :class:`~repro.sim.suite_runner.SuiteRunner` of its own
+(:meth:`~repro.sim.suite_runner.SuiteRunner.run_unit`, the serial path's
+unit body), so the pool adds scheduling, not a second way to simulate.
 
 Design points:
 
@@ -17,19 +20,21 @@ Design points:
 * **One unit in flight per worker.**  The parent assigns units one at a
   time over per-worker queues and records exactly which unit each worker
   holds, so a crashed worker's loss is precise: its unit is requeued (up
-  to the :class:`~repro.runtime.policies.ExecutionPolicy` retry budget)
-  and a replacement worker is spawned.
-* **Crash and hang detection.**  A worker that dies (SIGKILL, OOM,
-  segfault) is noticed by liveness polling; a worker that exceeds the
-  policy deadline on one unit is SIGKILLed by the watchdog and treated
-  the same.  A unit that fails on every attempt is *poisoned*: the pool
-  keeps draining the remaining units and the failure is raised at the end
-  with structured :attr:`~repro.errors.ReproError.context`.
+  to :data:`DEFAULT_PARALLEL_ATTEMPTS` attempts) and a replacement worker
+  is spawned.
+* **Crash detection.**  A worker that dies (SIGKILL, OOM, segfault) is
+  noticed by liveness polling.  There is no hang watchdog: simulation is
+  a bounded loop over a finite trace, and injected hangs sleep at most
+  2 s.  A unit that fails on every attempt is *poisoned*: the pool keeps
+  draining the remaining units, and :meth:`ParallelExecutor.raise_poisoned`
+  reports the failure with structured
+  :attr:`~repro.errors.ReproError.context`.
 * **Serial fallback.**  A pool that keeps losing workers eventually
   exhausts its respawn budget.  Instead of aborting with work undone, the
-  executor emits a ``serial_fallback`` degradation event, tears the pool
-  down (refunding the attempt of any unit a surviving worker still held),
-  and finishes the remaining units serially in the parent — simulation is
+  executor emits a ``serial_fallback`` degradation event, keeps the
+  results already queued, kills the pool and returns early;
+  :meth:`ParallelExecutor.unfinished` names the units left, which the
+  suite runner finishes on its ordinary serial path — simulation is
   deterministic, so the results are bit-identical to a healthy pool's.
 * **Determinism.**  Simulation is a pure function of (config, benchmark,
   scale) — traces are seeded — so parallel results are bit-identical to
@@ -52,7 +57,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..errors import SimulationError
 from .cache import TraceCache
 from .chaos import active as active_chaos
-from .policies import ExecutionPolicy
 from .scheduler import POISONED, RunMetrics, Scheduler, WorkUnit
 from .telemetry import Tracer
 
@@ -61,9 +65,8 @@ _POLL_SECONDS = 0.05
 _WORKER_POLL_SECONDS = 2.0
 #: Grace period for workers to drain the stop sentinel at shutdown.
 _SHUTDOWN_GRACE_SECONDS = 2.0
-#: Per-unit attempt budget when no explicit policy is supplied: a pool
-#: must survive environmentally-killed workers (OOM, preemption) without
-#: the caller opting in to retries.
+#: Per-unit attempt budget: a pool must survive environmentally-killed
+#: workers (OOM, preemption), whose deaths say nothing about the unit.
 DEFAULT_PARALLEL_ATTEMPTS = 3
 
 
@@ -82,32 +85,18 @@ def _worker_main(
 
     Messages back to the parent::
 
-        ("ok",  worker_id, unit_id, SimulationResult, trace_source,
-                seconds, load_seconds, attribution_record_or_None,
-                kernel, fallback_reason_or_None)
+        ("ok",  worker_id, unit_id, UnitRun, seconds)
         ("err", worker_id, unit_id, error_type_name, error_message, seconds)
 
-    ``trace_source`` records where the trace came from (``memo`` — this
-    worker's per-process memo, ``cache`` — the shared on-disk cache,
-    ``generated`` — regenerated after a cache miss/corruption), feeding
-    the run's cache hit/miss metrics.  ``load_seconds`` is the slice of
-    ``seconds`` spent obtaining the trace (0 for a memo hit), so the
-    parent's tracer can attribute worker time to the load/generate vs
-    simulate phases without sharing a tracer across processes.
-
-    With ``attribution`` enabled each unit runs the instrumented
-    classifying loop and the final "ok" field carries the unit's
-    serialized ``repro-attribution/1`` record (already normalized by the
-    collector, so the parent merges dicts identical to the serial path's).
-
-    ``kernel`` is the kernel :func:`~repro.sim.engine.sweep_kernel` chose
-    for the unit; ``fallback_reason`` says why an ``auto`` request ran on
-    the per-event loop (``None`` when it did not).
+    Each unit runs through :meth:`SuiteRunner.run_unit` on one runner per
+    process, built over the shared on-disk cache with no journal (the
+    parent journals).  Its memo keeps each trace loaded once per worker;
+    the :class:`~repro.sim.suite_runner.UnitRun` carries the trace
+    source (``memo`` / ``cache`` / ``generated``), the load time, the
+    kernel and any ``auto`` fallback reason, and with ``attribution``
+    the unit's normalized ``repro-attribution/1`` record.
     """
-    from ..core.factory import build_predictor
-    from ..sim.engine import simulate, sweep_kernel
-    from ..workloads.program import generate_trace
-    from ..workloads.suite import workload_config
+    from ..sim.suite_runner import SuiteRunner
     from . import chaos
 
     if chaos_path:
@@ -116,11 +105,8 @@ def _worker_main(
         # `times` budget holds across the whole process tree.
         chaos.install(chaos.ChaosPlan.load(chaos_path))
 
-    if attribution:
-        from ..sim.attribution import AttributionCollector
-
-    cache = TraceCache(cache_dir)
-    traces: Dict[str, object] = {}
+    runner = SuiteRunner(scale=scale, cache_dir=cache_dir, progress=False,
+                         attribution=attribution, kernel=kernel)
     while True:
         try:
             item = task_queue.get(timeout=_WORKER_POLL_SECONDS)
@@ -135,31 +121,7 @@ def _worker_main(
         start = time.perf_counter()
         try:
             chaos.active().inject("worker.unit", label=label)
-            trace = traces.get(benchmark)
-            source = "memo"
-            load_seconds = 0.0
-            if trace is None:
-                load_start = time.perf_counter()
-                trace = cache.load(cache.key(benchmark, scale))
-                source = "cache"
-                if trace is None:
-                    # The parent pre-warms the cache, so this is the
-                    # corruption (or races-with-eviction) path:
-                    # regenerate and re-store.
-                    trace = generate_trace(workload_config(benchmark, scale))
-                    cache.store(cache.key(benchmark, scale), trace)
-                    source = "generated"
-                load_seconds = time.perf_counter() - load_start
-            traces[benchmark] = trace
-            collector = AttributionCollector() if attribution else None
-            predictor = build_predictor(config)
-            chosen, fallback = sweep_kernel(predictor, len(trace), kernel,
-                                            collector)
-            result = simulate(predictor, trace, attribution=collector,
-                              kernel=chosen)
-            attribution_record = (
-                collector.records()[0] if collector is not None else None
-            )
+            unit = runner.run_unit(config, benchmark)
         except Exception as exc:  # reported, requeued/poisoned by the parent
             result_queue.put((
                 "err", worker_id, unit_id,
@@ -168,9 +130,7 @@ def _worker_main(
             ))
             continue
         result_queue.put((
-            "ok", worker_id, unit_id, result, source,
-            time.perf_counter() - start, load_seconds, attribution_record,
-            chosen, fallback,
+            "ok", worker_id, unit_id, unit, time.perf_counter() - start,
         ))
 
 
@@ -183,7 +143,6 @@ class _WorkerHandle:
         self.process = process
         self.task_queue = task_queue
         self.unit: Optional[WorkUnit] = None
-        self.started_at: float = 0.0
 
     @property
     def busy(self) -> bool:
@@ -191,7 +150,6 @@ class _WorkerHandle:
 
     def assign(self, unit: WorkUnit) -> None:
         self.unit = unit
-        self.started_at = time.perf_counter()
         self.task_queue.put((unit.unit_id, unit.config, unit.benchmark))
 
 
@@ -254,14 +212,6 @@ class ParallelExecutor:
             (a :class:`TraceCache` or a directory path).
         scale: trace-length scale forwarded to cache keys / regeneration;
             must match the runner that pre-warmed the cache.
-        policy: retry budget (``max_attempts``) for crashed/failed units
-            and the per-unit ``deadline`` used by the hang watchdog.  When
-            omitted, the pool defaults to
-            ``max_attempts=DEFAULT_PARALLEL_ATTEMPTS`` — unlike the serial
-            path, a worker can die to environmental causes (OOM kill,
-            node preemption) that say nothing about the unit itself, so a
-            parallel run must survive a lost worker out of the box.  Pass
-            an explicit policy to restore fail-fast semantics.
         metrics: a :class:`RunMetrics` to accumulate into (one per run;
             shared across several ``run()`` calls by the suite runner).
         progress: emit the live stderr progress line (default on).
@@ -276,9 +226,8 @@ class ParallelExecutor:
         mp_context: ``multiprocessing`` context override (tests).
         kernel: simulation kernel requested for every unit (``"auto"``,
             the default, ``"event"``, or ``"batch"``), resolved per unit
-            by :func:`~repro.sim.engine.sweep_kernel`; the serial
-            crash-fallback path resolves it the same way, so results
-            stay identical either way.
+            by :func:`~repro.sim.engine.sweep_kernel` exactly as the
+            serial path does.
     """
 
     def __init__(
@@ -286,7 +235,6 @@ class ParallelExecutor:
         workers: int,
         trace_cache: "TraceCache | str",
         scale: Optional[float] = None,
-        policy: Optional[ExecutionPolicy] = None,
         metrics: Optional[RunMetrics] = None,
         progress: bool = True,
         tracer: Optional[Tracer] = None,
@@ -302,9 +250,6 @@ class ParallelExecutor:
             else TraceCache(trace_cache)
         )
         self.scale = scale
-        self.policy = policy or ExecutionPolicy(
-            max_attempts=DEFAULT_PARALLEL_ATTEMPTS
-        )
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.tracer = tracer if tracer is not None else Tracer(metrics=self.metrics)
         self.progress_enabled = progress
@@ -313,8 +258,10 @@ class ParallelExecutor:
         self._ctx = mp_context or multiprocessing.get_context()
         self._next_worker_id = 0
         #: set when the respawn budget ran out: the pool was torn down
-        #: and the remaining units were finished serially in the parent.
+        #: early, leaving :meth:`unfinished` units to the caller.
         self._fallback_reason: Optional[str] = None
+        #: the last :meth:`run`'s bookkeeping
+        self._scheduler = Scheduler([])
 
     # -- pool plumbing -------------------------------------------------------
 
@@ -363,16 +310,16 @@ class ParallelExecutor:
         ``on_result`` is invoked in the parent, in completion order, as
         each unit finishes — the journalling hook.  With attribution
         enabled, ``on_attribution`` follows it with the unit's serialized
-        attribution record (the collector-merge hook).  If any unit
-        exhausts its retry budget, the remaining units still run to
-        completion and a :class:`SimulationError` carrying the poisoned
-        units' labels, attempt counts, and per-attempt errors in
-        ``context`` is raised at the end.
+        attribution record (the collector-merge hook).  A unit that
+        exhausts its retry budget does not stop the others; the caller
+        reports it through :meth:`raise_poisoned` once every other unit
+        is done.  After a serial fallback the run returns early, and
+        :meth:`unfinished` lists the units it left.
         """
         units = list(units)
-        scheduler = Scheduler(units, max_attempts=self.policy.max_attempts)
+        scheduler = self._scheduler = Scheduler(
+            units, max_attempts=DEFAULT_PARALLEL_ATTEMPTS)
         self.metrics.workers = max(self.metrics.workers, self.workers)
-        self.metrics.units_total += len(units)
         results: Dict[int, object] = {}
         if not units:
             return results
@@ -388,37 +335,41 @@ class ParallelExecutor:
         pool: Dict[int, _WorkerHandle] = {}
         progress = _Progress(len(units), enabled=self.progress_enabled)
         unit_by_id = {unit.unit_id: unit for unit in units}
+
+        def on_message(message: tuple) -> None:
+            self._handle_message(message, pool, scheduler, unit_by_id,
+                                 results, on_result, on_attribution)
+
         try:
             for _ in range(min(self.workers, len(units))):
                 handle = self._spawn_worker(result_queue)
                 pool[handle.worker_id] = handle
-            while not scheduler.done:
+            while not scheduler.done and self._fallback_reason is None:
                 self._dispatch(pool, scheduler)
                 message = self._poll_results(result_queue)
                 if message is not None:
-                    self._handle_message(
-                        message, pool, scheduler, unit_by_id, results,
-                        on_result, on_attribution,
-                    )
+                    on_message(message)
                 self._reap_workers(pool, scheduler, result_queue, respawn_budget)
-                if self._fallback_reason is not None:
-                    break
                 progress.update(
                     scheduler,
                     busy=sum(1 for h in pool.values() if h.busy),
                     workers=len(pool),
                 )
-            if self._fallback_reason is not None and not scheduler.done:
-                self._enter_serial_fallback(
-                    pool, scheduler, result_queue, unit_by_id, results,
-                    on_result, on_attribution, progress,
-                )
+            if self._fallback_reason is not None:
+                # Keep what the pool already finished; the rest is left
+                # to the caller's serial path.
+                message = self._poll_results(result_queue)
+                while message is not None:
+                    on_message(message)
+                    message = self._poll_results(result_queue)
         finally:
             progress.close()
             for handle in pool.values():
-                self._stop_worker(handle)
+                self._stop_worker(handle, kill=self._fallback_reason is not None)
             result_queue.close()
             self.metrics.wall_time += time.perf_counter() - run_start
+            self.metrics.units_total += (
+                scheduler.completed_count + len(scheduler.poisoned))
             self.metrics.units_requeued += scheduler.requeues
             self.metrics.units_poisoned += len(scheduler.poisoned)
             self.tracer.event(
@@ -428,10 +379,16 @@ class ParallelExecutor:
                 poisoned=len(scheduler.poisoned),
                 wall_time_s=round(time.perf_counter() - run_start, 6),
             )
-
-        if scheduler.poisoned:
-            self._raise_poisoned(scheduler)
         return results
+
+    def unfinished(self) -> List[WorkUnit]:
+        """Units the last :meth:`run` left neither completed nor poisoned.
+
+        Empty unless the pool fell back to serial: those units are the
+        caller's to finish (:class:`~repro.sim.suite_runner.SuiteRunner`
+        runs them through :meth:`~repro.sim.suite_runner.SuiteRunner.result`).
+        """
+        return self._scheduler.unfinished()
 
     def _dispatch(self, pool: Dict[int, _WorkerHandle], scheduler: Scheduler) -> None:
         for handle in pool.values():
@@ -472,31 +429,32 @@ class ParallelExecutor:
             handle.unit = None  # worker is idle again
         unit = unit_by_id[unit_id]
         if kind == "ok":
-            (_, _, _, result, trace_source, seconds, load_seconds,
-             attribution_record, kernel, fallback) = message
+            _, _, _, run, seconds = message
             if scheduler.complete(unit_id):
-                results[unit_id] = result
+                results[unit_id] = run.result
                 # Attribute the worker-reported split to the run's phase
                 # breakdown: trace acquisition vs simulation proper.
-                if trace_source != "memo" and load_seconds > 0:
+                if run.trace_source != "memo" and run.load_seconds > 0:
                     self.tracer.record_span(
-                        "trace_load" if trace_source == "cache" else "trace_gen",
-                        load_seconds, benchmark=unit.benchmark, worker=worker_id,
+                        "trace_load" if run.trace_source == "cache"
+                        else "trace_gen",
+                        run.load_seconds, benchmark=unit.benchmark,
+                        worker=worker_id,
                     )
                 self.tracer.record_span(
-                    "simulate", max(seconds - load_seconds, 0.0),
+                    "simulate", max(seconds - run.load_seconds, 0.0),
                     benchmark=unit.benchmark, worker=worker_id,
                 )
                 self.metrics.record_unit(
                     unit.label, unit.benchmark,
                     str(getattr(unit.config, "label", unit.config)),
-                    seconds, worker_id, scheduler.attempts(unit_id), trace_source,
-                    kernel=kernel, fallback=fallback,
+                    seconds, worker_id, scheduler.attempts(unit_id),
+                    run.trace_source, kernel=run.kernel, fallback=run.fallback,
                 )
                 if on_result is not None:
-                    on_result(unit, result)
-                if on_attribution is not None and attribution_record is not None:
-                    on_attribution(unit, attribution_record)
+                    on_result(unit, run.result)
+                if on_attribution is not None and run.attribution is not None:
+                    on_attribution(unit, run.attribution)
         else:
             _, _, _, error_type, error_message, _seconds = message
             error = f"{error_type}: {error_message}"
@@ -513,33 +471,17 @@ class ParallelExecutor:
         result_queue: "multiprocessing.Queue",
         respawn_budget: int,
     ) -> None:
-        """Detect dead and hung workers; requeue their units; respawn."""
-        deadline = self.policy.deadline
+        """Detect dead workers; requeue their units; respawn."""
         for worker_id in list(pool):
             handle = pool[worker_id]
-            dead = not handle.process.is_alive()
-            hung = (
-                not dead
-                and handle.busy
-                and deadline is not None
-                and time.perf_counter() - handle.started_at > deadline
-            )
-            if not dead and not hung:
+            if handle.process.is_alive():
                 continue
-            if hung:
-                handle.process.kill()
-                handle.process.join(timeout=_SHUTDOWN_GRACE_SECONDS)
             reason = (
-                f"worker {worker_id} exceeded the {deadline:g}s deadline"
-                if hung else
                 f"worker {worker_id} died (exitcode {handle.process.exitcode})"
             )
             lost = scheduler.worker_lost(worker_id, reason)
             self.metrics.worker_crashes += 1
-            self.tracer.event(
-                "worker_lost", worker=worker_id, reason=reason,
-                hung=hung,
-            )
+            self.tracer.event("worker_lost", worker=worker_id, reason=reason)
             for lost_unit, outcome in lost:
                 self.tracer.event(
                     "poison" if outcome == POISONED else "requeue",
@@ -551,9 +493,9 @@ class ParallelExecutor:
                 continue
             if self._next_worker_id >= respawn_budget:
                 # Pool is unstable.  Don't abort with work undone:
-                # degrade to finishing the remaining units serially in
-                # the parent (bit-identical results — simulation is
-                # deterministic).  run() tears the pool down.
+                # run() stops the pool and leaves the remaining units to
+                # the caller's serial path (bit-identical results —
+                # simulation is deterministic).
                 if self._fallback_reason is None:
                     self._fallback_reason = reason
                     self.tracer.event(
@@ -570,127 +512,19 @@ class ParallelExecutor:
                 replaces=worker_id,
             )
 
-    # -- serial fallback -----------------------------------------------------
+    def raise_poisoned(self) -> None:
+        """Raise the last :meth:`run`'s poisoned units, if it had any.
 
-    def _enter_serial_fallback(
-        self,
-        pool: Dict[int, _WorkerHandle],
-        scheduler: Scheduler,
-        result_queue: "multiprocessing.Queue",
-        unit_by_id: Dict[int, WorkUnit],
-        results: Dict[int, object],
-        on_result: Optional[Callable[[WorkUnit, object], None]],
-        on_attribution: Optional[Callable[[WorkUnit, dict], None]],
-        progress: _Progress,
-    ) -> None:
-        """Tear the pool down and finish the remaining units in-process.
-
-        Results already sitting in the queue are drained first so
-        completed units are never re-simulated; units that surviving
-        workers still held are returned to the queue with their attempt
-        refunded (the unit did not fail — the pool abandoned it).
+        A :class:`SimulationError` carrying the poisoned units' labels,
+        the attempt budget and each attempt's error in ``context``.  The
+        caller raises it once every other unit has finished, including
+        any it finished itself after a serial fallback (``completed``
+        counts those).
         """
-        while True:
-            message = self._poll_results(result_queue)
-            if message is None:
-                break
-            self._handle_message(
-                message, pool, scheduler, unit_by_id, results,
-                on_result, on_attribution,
-            )
-        for worker_id in list(pool):
-            handle = pool.pop(worker_id)
-            self._stop_worker(handle, kill=True)
-            for unit in scheduler.release_worker(worker_id):
-                self.tracer.event(
-                    "release", unit=unit.label, worker=worker_id,
-                    reason="serial fallback teardown",
-                )
-        self._drain_serially(scheduler, results, on_result, on_attribution,
-                             progress)
-
-    def _drain_serially(
-        self,
-        scheduler: Scheduler,
-        results: Dict[int, object],
-        on_result: Optional[Callable[[WorkUnit, object], None]],
-        on_attribution: Optional[Callable[[WorkUnit, dict], None]],
-        progress: _Progress,
-    ) -> None:
-        """Run every remaining unit in the parent process, one at a time."""
-        from ..core.factory import build_predictor
-        from ..sim.engine import simulate, sweep_kernel
-        from ..workloads.program import generate_trace
-        from ..workloads.suite import workload_config
-
-        if self.attribution:
-            from ..sim.attribution import AttributionCollector
-
-        traces: Dict[str, object] = {}
-        while not scheduler.done:
-            unit = scheduler.acquire("serial-fallback")
-            if unit is None:  # only poisoned units remain
-                break
-            start = time.perf_counter()
-            try:
-                trace = traces.get(unit.benchmark)
-                source = "memo"
-                load_seconds = 0.0
-                if trace is None:
-                    load_start = time.perf_counter()
-                    key = self.trace_cache.key(unit.benchmark, self.scale)
-                    trace = self.trace_cache.load(key)
-                    source = "cache"
-                    if trace is None:
-                        trace = generate_trace(
-                            workload_config(unit.benchmark, self.scale))
-                        self.trace_cache.store(key, trace)
-                        source = "generated"
-                    load_seconds = time.perf_counter() - load_start
-                    traces[unit.benchmark] = trace
-                collector = AttributionCollector() if self.attribution else None
-                predictor = build_predictor(unit.config)
-                kernel, fallback = sweep_kernel(predictor, len(trace),
-                                                self.kernel, collector)
-                result = simulate(predictor, trace, attribution=collector,
-                                  kernel=kernel)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                outcome = scheduler.fail(unit.unit_id, error)
-                self.tracer.event(
-                    "poison" if outcome == POISONED else "requeue",
-                    unit=unit.label, worker="serial-fallback", error=error,
-                )
-                continue
-            seconds = time.perf_counter() - start
-            if not scheduler.complete(unit.unit_id):
-                continue
-            results[unit.unit_id] = result
-            if source != "memo" and load_seconds > 0:
-                self.tracer.record_span(
-                    "trace_load" if source == "cache" else "trace_gen",
-                    load_seconds, benchmark=unit.benchmark,
-                    worker="serial-fallback",
-                )
-            self.tracer.record_span(
-                "simulate", max(seconds - load_seconds, 0.0),
-                benchmark=unit.benchmark, worker="serial-fallback",
-            )
-            self.metrics.record_unit(
-                unit.label, unit.benchmark,
-                str(getattr(unit.config, "label", unit.config)),
-                seconds, "serial-fallback",
-                scheduler.attempts(unit.unit_id), source,
-                kernel=kernel, fallback=fallback,
-            )
-            if on_result is not None:
-                on_result(unit, result)
-            if on_attribution is not None and collector is not None:
-                on_attribution(unit, collector.records()[0])
-            progress.update(scheduler, busy=0, workers=0)
-
-    def _raise_poisoned(self, scheduler: Scheduler) -> None:
+        scheduler = self._scheduler
         poisoned = scheduler.poisoned
+        if not poisoned:
+            return
         labels = [unit.label for unit in poisoned.values()]
         error = SimulationError(
             f"{len(poisoned)} work unit(s) failed on every attempt: "
@@ -703,6 +537,6 @@ class ParallelExecutor:
                 unit.label: scheduler.errors.get(unit_id, [])
                 for unit_id, unit in poisoned.items()
             },
-            completed=scheduler.completed_count,
+            completed=scheduler.total - len(poisoned),
             total=scheduler.total,
         )

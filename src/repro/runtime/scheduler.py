@@ -57,8 +57,7 @@ class Scheduler:
     Args:
         units: the work units to execute (dispatched FIFO).
         max_attempts: total execution attempts per unit before it is
-            poisoned (1 = no retries), typically taken from
-            :attr:`repro.runtime.policies.ExecutionPolicy.max_attempts`.
+            poisoned (1 = no retries).
     """
 
     def __init__(self, units: Iterable[WorkUnit], max_attempts: int = 1) -> None:
@@ -158,9 +157,10 @@ class Scheduler:
     def release_worker(self, worker_id: object) -> List[WorkUnit]:
         """Return a worker's in-flight units to the queue, attempt refunded.
 
-        Used when the *pool* abandons a healthy worker (serial-fallback
-        teardown): the unit never failed, so requeueing it must not burn
-        retry budget the way :meth:`worker_lost` does.
+        Used for units that did not fail but must be handed back (the
+        batches queued behind a dead service shard's running one): they
+        never ran, so requeueing them must not burn retry budget the way
+        :meth:`worker_lost` does.
         """
         held = [uid for uid, wid in self._in_flight.items() if wid == worker_id]
         released = []
@@ -189,6 +189,12 @@ class Scheduler:
     @property
     def completed_count(self) -> int:
         return len(self._completed)
+
+    def unfinished(self) -> List[WorkUnit]:
+        """Units neither completed nor poisoned, in submission order."""
+        return [unit for unit_id, unit in self._units.items()
+                if unit_id not in self._completed
+                and unit_id not in self._poisoned]
 
     @property
     def poisoned(self) -> Dict[int, WorkUnit]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, TextIO
 
 from ..runtime.metrics import LogHistogram, validate_snapshot
@@ -35,7 +36,7 @@ def resolve_endpoint(endpoint: Optional[str], host: str,
                      port: Optional[int]) -> tuple:
     """Resolve ``(host, port)`` from ``endpoint.json`` or explicit flags."""
     if endpoint:
-        info = json.loads(open(endpoint, encoding="utf-8").read())
+        info = json.loads(Path(endpoint).read_text(encoding="utf-8"))
         return info["host"], info["port"]
     if port is None:
         raise ValueError("need --port or --endpoint")

@@ -13,9 +13,7 @@ from :mod:`repro.runtime`:
   detected at load, quarantined, and regenerated transparently;
 * ``checkpoint`` — completed (config, benchmark) results are journalled to
   an append-only JSONL file and replayed on resume, so a killed sweep
-  continues where it stopped instead of starting over;
-* ``policy`` — each simulation runs under a configurable deadline /
-  retry-with-backoff policy with structured error context.
+  continues where it stopped instead of starting over.
 
 With ``workers=N`` (N > 1) batch lookups — :meth:`SuiteRunner.rates`,
 :func:`repro.sim.sweep.sweep`, :meth:`SuiteRunner.compute_many` — are
@@ -23,14 +21,16 @@ decomposed into (config, benchmark) work units and executed on a
 :class:`~repro.runtime.parallel.ParallelExecutor` worker pool.  Traces
 are pre-generated once into the on-disk cache and shared; simulation is
 deterministic, so parallel results are bit-identical to serial ones.
-Every run accumulates a :class:`~repro.runtime.scheduler.RunMetrics`
-record exposed via :meth:`SuiteRunner.metrics_summary`.
+Serial runs, pool workers, and the pool's serial fallback all run a unit
+through one method, :meth:`SuiteRunner.run_unit`.  Every run accumulates
+a :class:`~repro.runtime.scheduler.RunMetrics` record exposed via
+:meth:`SuiteRunner.metrics_summary`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.config import PredictorConfig
 from ..core.factory import build_predictor
@@ -39,6 +39,22 @@ from ..workloads.suite import AVG_BENCHMARKS, benchmark_names, workload_config
 from ..workloads.trace import Trace
 from .engine import SimulationResult, simulate, sweep_kernel
 from .groups import groups_with_real, with_group_averages
+
+
+class UnitRun(NamedTuple):
+    """One simulated (config, benchmark) unit (:meth:`SuiteRunner.run_unit`)."""
+
+    result: SimulationResult
+    #: where the trace came from: ``memo``, ``cache`` or ``generated``
+    trace_source: str
+    #: the slice of the unit's time spent obtaining the trace
+    load_seconds: float
+    #: the kernel that ran (``None`` for a custom simulate function)
+    kernel: Optional[str]
+    #: why an ``auto`` request ran on the per-event loop, if it did
+    fallback: Optional[str]
+    #: the unit's serialized ``repro-attribution/1`` record, if collected
+    attribution: Optional[dict]
 
 
 class SuiteRunner:
@@ -50,7 +66,6 @@ class SuiteRunner:
         scale: Optional[float] = None,
         cache_dir: Optional[object] = None,
         checkpoint: Optional[object] = None,
-        policy: Optional[object] = None,
         simulate_fn: Optional[Callable[..., SimulationResult]] = None,
         generate_fn: Optional[Callable[..., Trace]] = None,
         workers: int = 1,
@@ -66,10 +81,6 @@ class SuiteRunner:
                 constructed :class:`repro.runtime.cache.TraceCache`).
             checkpoint: a :class:`repro.runtime.checkpoint.CheckpointJournal`
                 consulted before simulating and appended to after.
-            policy: a :class:`repro.runtime.policies.ExecutionPolicy`
-                applied to every simulation (deadline, retries; in
-                parallel mode ``max_attempts`` is the crashed-unit
-                requeue budget and ``deadline`` the hang watchdog).
             simulate_fn: override for :func:`repro.sim.engine.simulate`
                 (used by fault-injection tests; serial path only).
             generate_fn: override for trace generation (fault injection).
@@ -130,7 +141,6 @@ class SuiteRunner:
         self._simulate = simulate_fn if simulate_fn is not None else simulate
         self._generate = generate_fn if generate_fn is not None else generate_trace
         self.checkpoint = checkpoint
-        self.policy = policy
         from ..runtime.scheduler import RunMetrics
         from ..runtime.telemetry import Tracer
 
@@ -236,67 +246,82 @@ class SuiteRunner:
         completed pairs entirely; fresh results are journalled with an
         atomic flush before being returned.
         """
+        cached = self._known(config, benchmark)
+        if cached is None:
+            cached = self._run_simulation(config, benchmark)
+            self._results[(config, benchmark)] = cached
+            if self.checkpoint is not None:
+                self.checkpoint.record(config, benchmark, cached)
+        return cached
+
+    def _known(
+        self, config: PredictorConfig, benchmark: str
+    ) -> Optional[SimulationResult]:
+        """The memoised or journalled result of a pair; ``None`` = run it."""
         key = (config, benchmark)
         cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        if self.checkpoint is not None:
+        if cached is None and self.checkpoint is not None:
             cached = self.checkpoint.get(config, benchmark)
             if cached is not None:
                 self._results[key] = cached
                 self.metrics.units_from_checkpoint += 1
                 self.tracer.event("checkpoint_hit", benchmark=benchmark)
-                return cached
-        cached = self._run_simulation(config, benchmark)
-        self._results[key] = cached
-        if self.checkpoint is not None:
-            self.checkpoint.record(config, benchmark, cached)
         return cached
+
+    def run_unit(self, config: PredictorConfig, benchmark: str) -> UnitRun:
+        """Simulate one (config, benchmark) unit, unmemoised and unjournalled.
+
+        The one body every unit runs through: the serial path, each pool
+        worker (over its own runner on the shared cache), and the units a
+        pool leaves to the serial fallback.  The trace is obtained before
+        the predictor is built, so its loading or generation stays out of
+        the build-to-result interval.  With attribution on, the unit runs
+        the instrumented loop into a fresh collector and returns its
+        record rather than merging it.
+        """
+        start = time.perf_counter()
+        trace, source = self._trace_with_source(benchmark)
+        load_seconds = time.perf_counter() - start
+        collector = None
+        if self.attribution is not None:
+            from .attribution import AttributionCollector
+
+            collector = AttributionCollector()
+        predictor = build_predictor(config)
+        if self._simulate is simulate:
+            kernel, fallback = sweep_kernel(
+                predictor, len(trace), self.kernel, collector)
+            result = simulate(predictor, trace, tracer=self.tracer,
+                              attribution=collector, kernel=kernel)
+        else:  # a fault-injection override
+            kernel = fallback = None
+            with self.tracer.span("simulate", benchmark=benchmark,
+                                  predictor=str(getattr(config, "label",
+                                                        config))):
+                result = self._simulate(predictor, trace)
+        record = collector.records()[0] if collector is not None else None
+        return UnitRun(result, source, load_seconds, kernel, fallback, record)
 
     def _run_simulation(
         self, config: PredictorConfig, benchmark: str
     ) -> SimulationResult:
-        label = getattr(config, "label", str(config))
-        sources: Dict[str, Optional[str]] = {}
-
-        def work() -> SimulationResult:
-            predictor = build_predictor(config)
-            trace, sources["trace"] = self._trace_with_source(benchmark)
-            if self._simulate is simulate:
-                kernel, sources["fallback"] = sweep_kernel(
-                    predictor, len(trace), self.kernel, self.attribution)
-                sources["kernel"] = kernel
-                return simulate(predictor, trace, tracer=self.tracer,
-                                attribution=self.attribution,
-                                kernel=kernel)
-            with self.tracer.span("simulate", benchmark=benchmark,
-                                  predictor=str(label)):
-                return self._simulate(predictor, trace)
-
         start = time.perf_counter()
-        if self.policy is None:
-            result = work()
-        else:
-            from ..runtime.policies import run_with_policy
-
-            result = run_with_policy(
-                work,
-                self.policy,
-                context={"benchmark": benchmark, "config": label},
-            )
+        unit = self.run_unit(config, benchmark)
         elapsed = time.perf_counter() - start
+        if unit.attribution is not None:
+            self.attribution.add_dict(unit.attribution)
         self.metrics.units_total += 1
         # Serial runs accumulate wall time per simulation (the parallel
         # executor accumulates its own pool wall time instead), so a
         # workers=1 sweep reports real utilisation, not 0.0.
         self.metrics.wall_time += elapsed
+        label = str(getattr(config, "label", config))
         self.metrics.record_unit(
-            f"{label}/{benchmark}", benchmark, str(label), elapsed,
-            worker="serial", attempt=1,
-            trace_source=sources.get("trace", "generated"),
-            kernel=sources.get("kernel"), fallback=sources.get("fallback"),
+            f"{label}/{benchmark}", benchmark, label, elapsed,
+            worker="serial", attempt=1, trace_source=unit.trace_source,
+            kernel=unit.kernel, fallback=unit.fallback,
         )
-        return result
+        return unit.result
 
     # -- parallel execution --------------------------------------------------
 
@@ -330,16 +355,8 @@ class SuiteRunner:
         todo: Dict[Tuple[PredictorConfig, str], None] = {}
         for config, benchmark in pairs:
             key = (config, benchmark)
-            if key in self._results or key in todo:
-                continue
-            if self.checkpoint is not None:
-                cached = self.checkpoint.get(config, benchmark)
-                if cached is not None:
-                    self._results[key] = cached
-                    self.metrics.units_from_checkpoint += 1
-                    self.tracer.event("checkpoint_hit", benchmark=benchmark)
-                    continue
-            todo[key] = None
+            if key not in todo and self._known(config, benchmark) is None:
+                todo[key] = None
         if not todo:
             return
         if self.workers == 1 or len(todo) == 1:
@@ -375,7 +392,6 @@ class SuiteRunner:
             self.workers,
             cache,
             scale=self.scale,
-            policy=self.policy,
             metrics=self.metrics,
             progress=self.progress,
             tracer=self.tracer,
@@ -398,6 +414,11 @@ class SuiteRunner:
                 on_attribution if self.attribution is not None else None
             ),
         )
+        # A pool that ran out of respawns stops early (``serial_fallback``);
+        # the units it left finish here, on the ordinary serial path.
+        for unit in executor.unfinished():
+            self.result(unit.config, unit.benchmark)
+        executor.raise_poisoned()
 
     def _ensure_external_cached(self, cache, benchmark: str) -> None:
         """Make the shared on-disk cache hold a fresh copy of an external.

@@ -1,4 +1,4 @@
-"""Test doubles for the execution-policy and checkpoint tests.
+"""Test doubles for the checkpoint and service-client tests.
 
 These used to live in :mod:`repro.runtime.faults`; once the chaos layer
 took over production fault injection, only the test suite still needed
@@ -6,12 +6,10 @@ them, so they moved here.
 
 * :class:`FakeClock` — a manually advanced monotonic clock that doubles
   as a sleep function, so deadline and backoff behaviour run in virtual
-  time (``ExecutionPolicy(clock=clock, sleep=clock.sleep)``).
+  time.
 * :class:`FlakyCallable` — wraps a callable and raises
   :class:`~repro.errors.FaultInjectedError` on chosen call indices,
   modelling raise-on-Nth-simulation crashes.
-* :class:`SlowCallable` — advances a :class:`FakeClock` by a configured
-  amount per call, driving deadline policies without real sleeping.
 """
 
 from __future__ import annotations
@@ -71,17 +69,3 @@ class FlakyCallable:
             raise self.error_factory(self.calls)
         return self.fn(*args, **kwargs)
 
-
-class SlowCallable:
-    """Wraps ``fn``; every call advances ``clock`` by ``delay`` seconds."""
-
-    def __init__(self, fn: Callable, delay: float, clock: FakeClock) -> None:
-        self.fn = fn
-        self.delay = delay
-        self.clock = clock
-        self.calls = 0
-
-    def __call__(self, *args: object, **kwargs: object):
-        self.calls += 1
-        self.clock.advance(self.delay)
-        return self.fn(*args, **kwargs)

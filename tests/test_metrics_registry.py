@@ -90,6 +90,19 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             registry.gauge("x")
 
+    @pytest.mark.parametrize("value, units", [
+        # An integer just above 2**53 nano-units, where the float
+        # product rounds to ...876: the mean must still be exact.
+        (9007199.826171875, 9007199826171875),
+        # 2**-10 is exactly 976562.5 nano-units: half rounds to even.
+        (2.0 ** -10, 976562),
+    ])
+    def test_mean_is_exact_in_nano_units(self, value, units):
+        hist = LogHistogram()
+        hist.observe(value)
+        assert hist.sum_units == units
+        assert hist.mean() == units / 10 ** 9
+
     def test_empty_histogram_summary(self):
         hist = LogHistogram()
         assert hist.quantile(0.5) is None
@@ -330,6 +343,22 @@ class TestConsole:
         for needle in ("accepted", "respawns", "queue_full",
                        "shard_respawn", "p50", "down"):
             assert needle in text, needle
+
+    def test_resolve_endpoint_closes_endpoint_file(self, tmp_path):
+        import gc
+        import warnings
+
+        from repro.service.console import resolve_endpoint
+
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"host": "127.0.0.1", "port": 4242}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert resolve_endpoint(str(endpoint), "ignored", None) \
+                == ("127.0.0.1", 4242)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_shard_rows_mark_respawned_shards(self):
         rows = shard_rows(canned_stats(), rates={0: 0.0}, respawned={0})

@@ -2,9 +2,10 @@
 
 Covers the headline guarantees: parallel results are bit-identical to
 serial ones (rates *and* checkpoint journal, modulo completion order), a
-SIGKILLed worker's unit is requeued and the sweep completes, a hung
-worker is killed by the deadline watchdog, and a unit that fails every
-attempt is reported with structured context instead of wedging the pool.
+SIGKILLed worker's unit is requeued and the sweep completes, a unit that
+fails every attempt is reported with structured context instead of
+wedging the pool, and a pool that runs out of respawns leaves the rest
+to the runner's serial path.
 """
 
 import json
@@ -13,10 +14,9 @@ import pytest
 
 from repro.core.config import BTBConfig, TwoLevelConfig
 from repro.errors import SimulationError
-from repro.runtime import chaos
+from repro.runtime import chaos, parallel
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.chaos import ChaosPlan, FaultSpec
-from repro.runtime.policies import ExecutionPolicy
 from repro.sim.suite_runner import SuiteRunner
 from repro.sim.sweep import sweep
 
@@ -94,10 +94,7 @@ class TestCrashRecovery:
     def test_sigkilled_worker_unit_requeued_and_completes(self, tmp_path):
         arm_chaos(tmp_path, "crash",
                   FaultSpec("worker.unit", "crash", match="perl"))
-        runner = make_runner(
-            tmp_path, "crash", workers=2,
-            policy=ExecutionPolicy(max_attempts=3),
-        )
+        runner = make_runner(tmp_path, "crash", workers=2)
         rates = runner.rates(CONFIGS["btb"])
         chaos.uninstall()
         reference = make_runner(tmp_path, "ref").rates(CONFIGS["btb"])
@@ -111,10 +108,10 @@ class TestCrashRecovery:
         assert len(body) == len(BENCHMARKS)
         assert len(set(body)) == len(body)
 
-    def test_default_policy_survives_worker_crash(self, tmp_path):
-        # With no explicit policy the pool must still survive a lost
-        # worker: environmental deaths (OOM kill, preemption) say nothing
-        # about the unit, so the default budget allows requeues.
+    def test_pool_survives_worker_crash_without_opt_in(self, tmp_path):
+        # The pool must survive a lost worker with no setting at all:
+        # environmental deaths (OOM kill, preemption) say nothing about
+        # the unit, so the fixed attempt budget allows requeues.
         arm_chaos(tmp_path, "default",
                   FaultSpec("worker.unit", "crash", match="perl"))
         runner = make_runner(tmp_path, "default-crash", workers=2)
@@ -127,44 +124,31 @@ class TestCrashRecovery:
         # Error out on *every* attempt: the unit exhausts its retry
         # budget (an in-worker error, so only the unit fails — the
         # worker survives and the respawn budget is untouched).
+        assert parallel.DEFAULT_PARALLEL_ATTEMPTS < 5
         arm_chaos(tmp_path, "poison",
                   FaultSpec("worker.unit", "error", match="perl", times=5))
-        runner = make_runner(
-            tmp_path, "poison", workers=2,
-            policy=ExecutionPolicy(max_attempts=2),
-        )
+        runner = make_runner(tmp_path, "poison", workers=2)
         with pytest.raises(SimulationError) as excinfo:
             runner.rates(CONFIGS["btb"])
+        attempts = parallel.DEFAULT_PARALLEL_ATTEMPTS
         context = excinfo.value.context
         assert context["poisoned_units"] == ["btb-2bc(inf)/perl"]
-        assert context["max_attempts"] == 2
-        assert len(context["unit_errors"]["btb-2bc(inf)/perl"]) == 2
+        assert context["max_attempts"] == attempts
+        assert len(context["unit_errors"]["btb-2bc(inf)/perl"]) == attempts
         # The pool drained the healthy unit before reporting the poison.
         assert context["completed"] == 1
         assert runner.checkpoint.get(CONFIGS["btb"], "ixx") is not None
 
-    def test_hung_worker_killed_by_deadline_watchdog(self, tmp_path):
-        arm_chaos(tmp_path, "hang",
-                  FaultSpec("worker.unit", "hang", match="ixx", arg=30.0))
-        runner = make_runner(
-            tmp_path, "hang", workers=2,
-            policy=ExecutionPolicy(max_attempts=2, deadline=1.0),
-        )
-        rates = runner.rates(CONFIGS["btb"])
-        chaos.uninstall()
-        assert rates == make_runner(tmp_path, "ref2").rates(CONFIGS["btb"])
-        assert runner.metrics.units_requeued >= 1
-
-    def test_respawn_budget_exhaustion_degrades_to_serial(self, tmp_path):
+    def test_respawn_budget_exhaustion_degrades_to_serial(
+            self, tmp_path, monkeypatch):
         # Every unit crashes its worker once per attempt; with a respawn
-        # budget of 2*workers + units = 6 the pool gives up and the
-        # parent finishes the remaining units itself, bit-identically.
+        # budget of 2*workers + units = 6 the pool gives up (an attempt
+        # budget of 10 keeps any unit from being poisoned first) and the
+        # runner finishes the remaining units serially, bit-identically.
+        monkeypatch.setattr(parallel, "DEFAULT_PARALLEL_ATTEMPTS", 10)
         arm_chaos(tmp_path, "unstable",
                   FaultSpec("worker.unit", "crash", times=20))
-        runner = make_runner(
-            tmp_path, "unstable", workers=2,
-            policy=ExecutionPolicy(max_attempts=10),
-        )
+        runner = make_runner(tmp_path, "unstable", workers=2)
         rates = {name: runner.rates(config)
                  for name, config in CONFIGS.items()}
         chaos.uninstall()
@@ -175,9 +159,43 @@ class TestCrashRecovery:
             == journal_body(reference.checkpoint.path)
         assert runner.degradations().get("serial_fallback", 0) >= 1
         assert runner.metrics_summary()["degradations"]["serial_fallback"] >= 1
-        # At least one unit really ran in the parent.
-        assert any(t.worker == "serial-fallback"
+        # At least one unit really ran in the parent, on the serial path.
+        assert any(t.worker == "serial"
                    for t in runner.metrics.unit_timings)
+
+    def test_serial_fallback_keeps_poison_and_finishes_the_rest(
+            self, tmp_path, monkeypatch):
+        # perl errors on every attempt and is poisoned while ixx's first
+        # attempt hangs for a second (then errors in `simulate`).  ixx
+        # then crashes its worker five times, exhausting the respawn
+        # budget (6) but not its 7 attempts.  The runner finishes ixx
+        # serially (every ixx fault is spent by then), journals it, and
+        # only then raises perl's poison -- perl is not re-run.
+        monkeypatch.setattr(parallel, "DEFAULT_PARALLEL_ATTEMPTS", 7)
+        arm_chaos(tmp_path, "poison-fallback",
+                  FaultSpec("worker.unit", "error", match="perl", times=50),
+                  FaultSpec("worker.unit", "hang", match="ixx", arg=1.0),
+                  FaultSpec("simulate", "error", match="ixx"),
+                  FaultSpec("worker.unit", "crash", match="ixx", times=5))
+        runner = make_runner(tmp_path, "poison-fallback", workers=2)
+        with pytest.raises(SimulationError) as excinfo:
+            runner.rates(CONFIGS["btb"])
+        chaos.uninstall()
+        context = excinfo.value.context
+        assert context["poisoned_units"] == ["btb-2bc(inf)/perl"]
+        assert context["max_attempts"] == 7
+        assert len(context["unit_errors"]["btb-2bc(inf)/perl"]) == 7
+        assert (context["completed"], context["total"]) == (1, 2)
+        assert runner.degradations()["serial_fallback"] == 1
+        assert [(t.benchmark, t.worker) for t in runner.metrics.unit_timings] \
+            == [("ixx", "serial")]
+        assert runner.checkpoint.get(CONFIGS["btb"], "perl") is None
+        reference = make_runner(tmp_path, "poison-ref")
+        assert runner.checkpoint.get(CONFIGS["btb"], "ixx") \
+            == reference.result(CONFIGS["btb"], "ixx")
+        assert runner.metrics_summary()["units"] == {
+            "total": 2, "completed": 1, "from_checkpoint": 0,
+            "requeued": 12, "poisoned": 1}
 
 
 class TestParallelCheckpointResume:

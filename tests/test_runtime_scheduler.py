@@ -85,6 +85,30 @@ class TestOutcomes:
             Scheduler(units(1), max_attempts=0)
 
 
+class TestUnfinished:
+    def test_fresh_scheduler_lists_every_unit_in_order(self):
+        scheduler = Scheduler(units(3))
+        assert [unit.unit_id for unit in scheduler.unfinished()] == [0, 1, 2]
+
+    def test_completed_and_poisoned_units_are_excluded(self):
+        scheduler = Scheduler(units(4), max_attempts=1)
+        done = scheduler.acquire("w")
+        scheduler.complete(done.unit_id)
+        bad = scheduler.acquire("w")
+        assert scheduler.fail(bad.unit_id, "boom") == POISONED
+        in_flight = scheduler.acquire("w")
+        # In-flight and still-queued units are both left to the caller.
+        assert [unit.unit_id for unit in scheduler.unfinished()] \
+            == [in_flight.unit_id, 3]
+
+    def test_empty_once_done(self):
+        scheduler = Scheduler(units(2))
+        for _ in range(2):
+            scheduler.complete(scheduler.acquire("w").unit_id)
+        assert scheduler.done
+        assert scheduler.unfinished() == []
+
+
 class TestWorkerLoss:
     def test_worker_lost_requeues_only_its_units(self):
         scheduler = Scheduler(units(3), max_attempts=2)
