@@ -118,7 +118,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from .core.factory import config_from_spec
-from .errors import CheckpointError, IngestError, ServiceError, SimulationError
+from .errors import (CheckpointError, ConfigError, IngestError, ServiceError,
+                     SimulationError)
 from .experiments import experiment_ids, run_experiment
 from .experiments.base import checkpointed_runner
 from .sim.engine import AUTO_MIN_EVENTS
@@ -791,6 +792,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # until the run is resumed to completion.
         print("error: interrupted", file=sys.stderr)
         return 4
+    except ConfigError as exc:
+        # A bad predictor spec or benchmark name is a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except IngestError as exc:
         # Malformed external-trace input: same one-line contract as an
         # I/O failure (the message carries the record index and byte
@@ -799,7 +804,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except OSError as exc:
         # Unwritable output paths and I/O failures exit cleanly instead of
-        # dumping a traceback; library errors (ConfigError, ...) propagate.
+        # dumping a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SimulationError, CheckpointError, ServiceError) as exc:

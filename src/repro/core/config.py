@@ -165,6 +165,19 @@ class TwoLevelConfig:
         return 0 if self.precision == "full" else self.low_bit
 
     @property
+    def first_level(self) -> Tuple[object, ...]:
+        """The fields the lookup keys depend on, with ``b`` and ``a`` resolved.
+
+        History registers and key assembly read only these; the table
+        fields (size, associativity, update rule, confidence bits) never
+        change a key.  Two configs with equal ``first_level`` therefore
+        build the same key column from the same trace.
+        """
+        return (self.path_length, self.history_sharing, self.bits_per_target,
+                self.effective_low_bit, self.compression, self.address_mode,
+                self.table_sharing, self.interleave)
+
+    @property
     def label(self) -> str:
         size = "inf" if self.num_entries is None else str(self.num_entries)
         return f"twolevel(p={self.path_length},{self.associativity},{size})"

@@ -48,6 +48,11 @@ def _parse_value(raw: str) -> Union[int, str, None]:
         return raw
 
 
+#: Spec fields that take an integer (``entries`` also takes ``none``;
+#: a hybrid's ``p1``, ``p2``, ... are integers too).
+_INTEGER_FIELDS = {"p", "s", "h", "budget", "low_bit", "confidence", "entries"}
+
+
 def _parse_fields(body: str) -> Dict[str, Union[int, str, None]]:
     fields: Dict[str, Union[int, str, None]] = {}
     if not body:
@@ -56,7 +61,13 @@ def _parse_fields(body: str) -> Dict[str, Union[int, str, None]]:
         if "=" not in item:
             raise ConfigError(f"malformed spec field {item!r}; expected key=value")
         key, _, raw = item.partition("=")
-        fields[key.strip()] = _parse_value(raw.strip())
+        key, raw = key.strip(), raw.strip()
+        value = _parse_value(raw)
+        integer = key in _INTEGER_FIELDS or (key[:1] == "p" and key[1:].isdigit())
+        if integer and not isinstance(value, int) and not (
+                key == "entries" and value is None):
+            raise ConfigError(f"spec field {key!r} takes an integer, got {raw!r}")
+        fields[key] = value
     return fields
 
 

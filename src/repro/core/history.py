@@ -17,7 +17,7 @@ low-order bits (see :mod:`repro.core.bits`).
 from __future__ import annotations
 
 from array import array
-from typing import Dict
+from typing import Dict, List, Sequence
 
 from ..errors import ConfigError, StateError
 from .bits import ADDRESS_BITS, DEFAULT_LOW_BIT, fold_xor, mask
@@ -129,6 +129,47 @@ class HistoryRegisterFile:
         else:
             new = ((old << self.bits_per_target) | update) & self._pattern_mask
         self._registers[register_id] = new
+
+    def patterns_for(self, pcs: Sequence[int], targets: Sequence[int]) -> List[int]:
+        """The pattern each branch of a trace sees, recording the trace.
+
+        Column form of :meth:`pattern_for` then :meth:`record` per branch:
+        element ``i`` is the pattern branch ``i`` is predicted with, and
+        the registers end as ``record`` would leave them.
+        """
+        if self.path_length == 0:
+            return [0] * len(targets)
+        width = self.bits_per_target
+        if self.compression == "shift_xor":
+            address_mask = mask(ADDRESS_BITS)
+            elements = [target & address_mask for target in targets]
+        elif self.compression == "fold":
+            elements = [fold_xor(target, width) for target in targets]
+        else:
+            low, element_mask = self.low_bit, self._element_mask
+            elements = [(target >> low) & element_mask for target in targets]
+        # A select or fold element fits in the ``width`` bits the shift
+        # clears, so XOR-ing it in equals OR-ing it in: one update rule
+        # serves every scheme.
+        pattern_mask = self._pattern_mask
+        patterns: List[int] = []
+        append = patterns.append
+        if self._global:
+            register = self._global_register
+            for element in elements:
+                append(register)
+                register = ((register << width) ^ element) & pattern_mask
+            self._global_register = register
+            return patterns
+        shift = self.sharing_shift
+        registers = self._registers
+        get = registers.get
+        for pc, element in zip(pcs, elements):
+            register_id = pc >> shift
+            register = get(register_id, 0)
+            append(register)
+            registers[register_id] = ((register << width) ^ element) & pattern_mask
+        return patterns
 
     def reset(self) -> None:
         """Clear all history state (used between independent simulations)."""

@@ -101,61 +101,79 @@ class HybridPredictor:
 
     # -- bulk simulation ----------------------------------------------------
 
-    def run_trace(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
-        if self._bpst is not None:
-            return self._run_trace_bpst(pcs, targets)
-        return self._run_trace_confidence(pcs, targets)
+    def keys_for(self, pcs: Sequence[int], targets: Sequence[int]) -> List[List[int]]:
+        """Every component's key column (see :meth:`TwoLevelPredictor.keys_for`)."""
+        return [component.keys_for(pcs, targets) for component in self.components]
 
-    def _run_trace_confidence(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
+    def run_keys(
+        self,
+        columns: Sequence[Sequence[int]],
+        pcs: Sequence[int],
+        targets: Sequence[int],
+    ) -> int:
+        """Tables and metapredictor over per-component key columns.
+
+        ``columns[i]`` is component ``i``'s key column; the BPST selector
+        is indexed by branch address, so the trace's ``pcs`` come too.
+        Returns the misprediction count.
+        """
+        if self._bpst is not None:
+            return self._run_keys_bpst(columns, pcs, targets)
+        return self._run_keys_confidence(columns, targets)
+
+    def run_trace(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
+        return self.run_keys(self.keys_for(pcs, targets), pcs, targets)
+
+    def _run_keys_confidence(
+        self, columns: Sequence[Sequence[int]], targets: Sequence[int]
+    ) -> int:
         misses = 0
-        components = self.components
-        key_fns = [component.key_for for component in components]
-        probes = [component.table.probe for component in components]
-        commits = [component.table.commit for component in components]
-        records = [component.history.record for component in components]
-        count = len(components)
-        for pc, target in zip(pcs, targets):
+        probes = [component.table.probe for component in self.components]
+        commits = [component.table.commit for component in self.components]
+        for target, keys in zip(targets, zip(*columns)):
             predicted: Optional[int] = None
             best_confidence = -1
-            keys = [key_fns[index](pc) for index in range(count)]
-            for index in range(count):
-                entry = probes[index](keys[index])
+            for probe, key in zip(probes, keys):
+                entry = probe(key)
                 if entry is not None and entry.confidence > best_confidence:
                     predicted = entry.target
                     best_confidence = entry.confidence
             if predicted != target:
                 misses += 1
-            for index in range(count):
-                commits[index](keys[index], target)
-                records[index](pc, target)
+            for commit, key in zip(commits, keys):
+                commit(key, target)
         return misses
 
-    def _run_trace_bpst(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
+    def _run_keys_bpst(
+        self,
+        columns: Sequence[Sequence[int]],
+        pcs: Sequence[int],
+        targets: Sequence[int],
+    ) -> int:
         misses = 0
         bpst = self._bpst
         assert bpst is not None
-        first, second = self.components[0], self.components[1]
-        for pc, target in zip(pcs, targets):
-            key0 = first.key_for(pc)
-            key1 = second.key_for(pc)
-            entry0 = first.table.probe(key0)
-            entry1 = second.table.probe(key1)
-            if bpst.select(pc) == 0:
+        select, record = bpst.select, bpst.record
+        first, second = (component.table for component in self.components)
+        probe0, commit0 = first.probe, first.commit
+        probe1, commit1 = second.probe, second.commit
+        for pc, key0, key1, target in zip(pcs, columns[0], columns[1], targets):
+            entry0 = probe0(key0)
+            entry1 = probe1(key1)
+            if select(pc) == 0:
                 entry = entry0 if entry0 is not None else entry1
             else:
                 entry = entry1 if entry1 is not None else entry0
             predicted = entry.target if entry is not None else None
             if predicted != target:
                 misses += 1
-            bpst.record(
+            record(
                 pc,
                 entry0 is not None and entry0.target == target,
                 entry1 is not None and entry1.target == target,
             )
-            first.table.commit(key0, target)
-            second.table.commit(key1, target)
-            first.history.record(pc, target)
-            second.history.record(pc, target)
+            commit0(key0, target)
+            commit1(key1, target)
         return misses
 
     # -- state columns ------------------------------------------------------

@@ -21,7 +21,7 @@ bits from every target in the path rather than only the most recent ones.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from .bits import ADDRESS_BITS, InterleavePermutation, mask
@@ -94,6 +94,25 @@ class KeyBuilder:
         if mode == "xor":
             return pattern ^ address
         return (address << self.pattern_bits) | pattern
+
+    def keys_for(self, pcs: Sequence[int], patterns: Sequence[int]) -> List[int]:
+        """Column form of :meth:`key`: one key per (pc, pattern) pair."""
+        permutation = self._permutation
+        if permutation is not None:
+            # Patterns repeat far more often than branches do, so each
+            # distinct one is permuted once.
+            apply = permutation.apply
+            permuted = {pattern: apply(pattern) for pattern in set(patterns)}
+            patterns = [permuted[pattern] for pattern in patterns]
+        mode = self.address_mode
+        if mode == "none":
+            return list(patterns)
+        shift = self.table_sharing
+        if mode == "xor":
+            return [pattern ^ (pc >> shift) for pc, pattern in zip(pcs, patterns)]
+        width = self.pattern_bits
+        return [((pc >> shift) << width) | pattern
+                for pc, pattern in zip(pcs, patterns)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -308,6 +308,9 @@ class SetAssociativeTable(BasePredictionTable):
         # first commit (``None`` until then), so building a table costs the
         # same whatever its size.
         self._sets: List[Optional[Dict[int, Entry]]] = [None] * self.num_sets
+        # Live entries, kept on allocation so that ``len`` (sampled by the
+        # attribution engine) never walks the sets.
+        self._size = 0
 
     @property
     def capacity(self) -> int:
@@ -323,6 +326,7 @@ class SetAssociativeTable(BasePredictionTable):
         ways = self._sets[index]
         if ways is None:
             self._sets[index] = {tag: Entry(actual_target)}
+            self._size += 1
             return
         entry = ways.get(tag)
         if entry is not None:
@@ -339,10 +343,12 @@ class SetAssociativeTable(BasePredictionTable):
                     (victim_tag << self.index_bits) | (key & self._index_mask),
                     "conflict",
                 )
+        else:
+            self._size += 1
         ways[tag] = Entry(actual_target)
 
     def __len__(self) -> int:
-        return sum(len(ways) for ways in self._sets if ways is not None)
+        return self._size
 
     def utilization(self) -> float:
         """Fraction of entry slots in use (paper quotes this for §5.2.1)."""
@@ -371,6 +377,7 @@ class SetAssociativeTable(BasePredictionTable):
                 raise StateError("table rows repeat a key")
             ways[tag] = entry
         self._sets = sets
+        self._size = len(entries)
 
 
 class TaglessTable(BasePredictionTable):
@@ -415,7 +422,7 @@ class TaglessTable(BasePredictionTable):
                 self.observer.wrote(index, key)
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._entries if entry is not None)
+        return self.num_entries - self._entries.count(None)
 
     def utilization(self) -> float:
         return len(self) / self.num_entries

@@ -19,7 +19,7 @@ one class, produced via :class:`repro.core.config.TwoLevelConfig`.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from .columns import Columns, expect_columns
 from .config import TwoLevelConfig
@@ -79,22 +79,35 @@ class TwoLevelPredictor:
 
     # -- bulk simulation ----------------------------------------------------
 
-    def run_trace(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
-        """Simulate the whole trace; return the misprediction count."""
+    def keys_for(self, pcs: Sequence[int], targets: Sequence[int]) -> List[int]:
+        """First level over a trace: the key each branch is looked up with.
+
+        Records the trace in the history registers, as ``update`` would;
+        the table is untouched.  Keys depend only on the first-level
+        fields of the config (:attr:`TwoLevelConfig.first_level`).
+        """
+        return self.keys.keys_for(pcs, self.history.patterns_for(pcs, targets))
+
+    def run_keys(self, keys: Sequence[int], targets: Sequence[int]) -> int:
+        """Second level over a key column; return the misprediction count."""
         misses = 0
-        pattern_for = self.history.pattern_for
-        record = self.history.record
-        build_key = self.keys.key
         probe = self.table.probe
         commit = self.table.commit
-        for pc, target in zip(pcs, targets):
-            key = build_key(pc, pattern_for(pc))
+        for key, target in zip(keys, targets):
             entry = probe(key)
             if entry is None or entry.target != target:
                 misses += 1
             commit(key, target)
-            record(pc, target)
         return misses
+
+    def run_trace(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
+        """Simulate the whole trace; return the misprediction count.
+
+        Keys depend on the history alone, never on the table, so building
+        the whole key column first and then running the table over it is
+        exactly the per-branch ``predict``/``update`` loop.
+        """
+        return self.run_keys(self.keys_for(pcs, targets), targets)
 
     # -- state columns ------------------------------------------------------
 

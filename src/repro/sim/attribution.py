@@ -31,9 +31,9 @@ and — for hybrids — builds a component confusion matrix of which
 component was followed vs which held the correct target.
 
 The instrumentation is strictly opt-in.  The classifying loops replicate
-each predictor's ``run_trace`` fast path operation-for-operation (same
-key construction, same arbitration tie-breaks, same commit order), so the
-attributed miss total equals the fast path's count exactly; the fast
+each predictor's ``run_trace`` fast path operation-for-operation (the
+same ``keys_for`` key columns, arbitration tie-breaks and commit order),
+so the attributed miss total equals the fast path's count exactly; the fast
 paths themselves are untouched when attribution is off (the only hook is
 the tables' ``observer``, checked on commit's write branches only).
 
@@ -46,6 +46,7 @@ predictor/benchmark pair + a trailing summary), surfaced via
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.btb import BranchTargetBuffer
@@ -90,10 +91,6 @@ class SiteStats:
         self.misses = 0
         self.targets: set = set()
         self.causes: Dict[str, int] = {}
-
-    def miss(self, cause: str) -> None:
-        self.misses += 1
-        self.causes[cause] = self.causes.get(cause, 0) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -214,16 +211,26 @@ class AttributionResult:
         self.tables: List[dict] = []
         self.confusion: Dict[str, Dict[str, int]] = {}
 
-    def site(self, pc: int) -> SiteStats:
-        stats = self.sites.get(pc)
-        if stats is None:
-            stats = self.sites[pc] = SiteStats(pc)
-        return stats
+    def count_sites(self, pcs: Sequence[int], targets: Sequence[int]) -> None:
+        """Executions and distinct targets per site, in first-seen order.
 
-    def miss(self, pc: int, cause: str) -> None:
-        self.mispredictions += 1
-        self.causes[cause] = self.causes.get(cause, 0) + 1
-        self.sites[pc].miss(cause)
+        Both depend on the trace alone, not on what was predicted, so
+        they are counted in one pass before the classifying loop runs.
+        """
+        for pc, executions in Counter(pcs).items():
+            self.sites[pc] = stats = SiteStats(pc)
+            stats.executions = executions
+        for pc, target in set(zip(pcs, targets)):
+            self.sites[pc].targets.add(target)
+
+    def add_misses(self, missed: Sequence[Tuple[int, str]]) -> None:
+        """Count a run's ``(pc, cause)`` misses, in trace order."""
+        for (pc, cause), count in Counter(missed).items():
+            self.mispredictions += count
+            self.causes[cause] = self.causes.get(cause, 0) + count
+            site = self.sites[pc]
+            site.misses += count
+            site.causes[cause] = site.causes.get(cause, 0) + count
 
     def confuse(self, row: str, col: str) -> None:
         cells = self.confusion.setdefault(row, {})
@@ -280,84 +287,71 @@ class InstrumentedRun:
             config = getattr(self.predictor, "config", None)
             label = getattr(config, "label", type(self.predictor).__name__)
         result = AttributionResult(trace.name, str(label), len(trace))
+        result.count_sites(trace.pcs, trace.targets)
         predictor = self.predictor
         if isinstance(predictor, HybridPredictor):
             self._run_hybrid(predictor, trace, result)
         elif isinstance(predictor, TwoLevelPredictor):
-            self._run_two_level(predictor, trace, result)
+            keys = predictor.keys_for(trace.pcs, trace.targets)
+            self._run_table(predictor.table, keys, trace, result)
         elif isinstance(predictor, BranchTargetBuffer):
-            self._run_btb(predictor, trace, result)
+            keys = [pc >> 2 for pc in trace.pcs]
+            self._run_table(predictor.table, keys, trace, result)
         else:
             self._run_generic(predictor, trace, result)
         return result
 
     # -- shared helpers ----------------------------------------------------
 
-    def _sample_interval(self, events: int) -> int:
-        return max(1, events // self.occupancy_samples) if events else 0
+    def _stretches(self, events: int) -> List[Tuple[int, bool]]:
+        """``(end, sample)`` pairs covering a trace of ``events`` branches.
+
+        The loops run the branches up to each ``end``, then sample table
+        occupancy where ``sample`` is set: evenly spaced, at most
+        :attr:`occupancy_samples` times.  Splitting the trace this way
+        keeps the sampling check out of the per-branch body.
+        """
+        interval = max(1, events // self.occupancy_samples)
+        last = min(events, interval * self.occupancy_samples)
+        return ([(end, True) for end in range(interval, last + 1, interval)]
+                + [(events, False)])
 
     # -- per-family classifying loops --------------------------------------
 
-    def _run_two_level(
-        self, predictor: TwoLevelPredictor, trace: Trace, result: AttributionResult
+    def _run_table(
+        self,
+        table: BasePredictionTable,
+        keys: Sequence[int],
+        trace: Trace,
+        result: AttributionResult,
     ) -> None:
-        monitor = _TableMonitor(predictor.table)
+        """The loop of a one-table predictor (BTB or two-level) over its keys."""
+        monitor = _TableMonitor(table)
+        missed: List[Tuple[int, str]] = []
         try:
-            pattern_for = predictor.history.pattern_for
-            record = predictor.history.record
-            build_key = predictor.keys.key
-            probe = predictor.table.probe
-            commit = predictor.table.commit
-            interval = self._sample_interval(result.events)
-            taken = 0
-            for index, (pc, target) in enumerate(zip(trace.pcs, trace.targets)):
-                key = build_key(pc, pattern_for(pc))
-                entry = probe(key)
-                site = result.site(pc)
-                site.executions += 1
-                site.targets.add(target)
-                if entry is None or entry.target != target:
-                    result.miss(pc, monitor.classify_miss(key, entry))
-                else:
-                    monitor.note_hit(key, entry)
-                commit(key, target)
-                monitor.note_commit(key)
-                record(pc, target)
-                if (interval and (index + 1) % interval == 0
-                        and taken < self.occupancy_samples):
-                    monitor.sample(index + 1)
-                    taken += 1
+            probe, commit = table.probe, table.commit
+            classify_miss = monitor.classify_miss
+            note_hit = monitor.note_hit if monitor.is_tagless else None
+            evictions = monitor.evictions
+            pcs, targets = trace.pcs, trace.targets
+            start = 0
+            for stop, sample in self._stretches(result.events):
+                for pc, key, target in zip(pcs[start:stop], keys[start:stop],
+                                           targets[start:stop]):
+                    entry = probe(key)
+                    if entry is None or entry.target != target:
+                        missed.append((pc, classify_miss(key, entry)))
+                    elif note_hit is not None:
+                        note_hit(key, entry)
+                    commit(key, target)
+                    if evictions:  # monitor.note_commit, inlined
+                        evictions.pop(key, None)
+                if sample:
+                    monitor.sample(stop)
+                start = stop
         finally:
             monitor.detach()
-        result.tables.append(monitor.to_dict())
-
-    def _run_btb(
-        self, predictor: BranchTargetBuffer, trace: Trace, result: AttributionResult
-    ) -> None:
-        monitor = _TableMonitor(predictor.table)
-        try:
-            probe = predictor.table.probe
-            commit = predictor.table.commit
-            interval = self._sample_interval(result.events)
-            taken = 0
-            for index, (pc, target) in enumerate(zip(trace.pcs, trace.targets)):
-                key = pc >> 2
-                entry = probe(key)
-                site = result.site(pc)
-                site.executions += 1
-                site.targets.add(target)
-                if entry is None or entry.target != target:
-                    result.miss(pc, monitor.classify_miss(key, entry))
-                else:
-                    monitor.note_hit(key, entry)
-                commit(key, target)
-                monitor.note_commit(key)
-                if (interval and (index + 1) % interval == 0
-                        and taken < self.occupancy_samples):
-                    monitor.sample(index + 1)
-                    taken += 1
-        finally:
-            monitor.detach()
+        result.add_misses(missed)
         result.tables.append(monitor.to_dict())
 
     def _run_hybrid(
@@ -365,55 +359,55 @@ class InstrumentedRun:
     ) -> None:
         components = predictor.components
         monitors = [_TableMonitor(component.table) for component in components]
+        missed: List[Tuple[int, str]] = []
         try:
             count = len(components)
-            key_fns = [component.key_for for component in components]
+            columns = predictor.keys_for(trace.pcs, trace.targets)
             probes = [component.table.probe for component in components]
             commits = [component.table.commit for component in components]
-            records = [component.history.record for component in components]
             select = predictor.select_component
             train = predictor.train_selector
-            interval = self._sample_interval(result.events)
-            taken = 0
-            for index, (pc, target) in enumerate(zip(trace.pcs, trace.targets)):
-                keys = [key_fns[i](pc) for i in range(count)]
-                entries = [probes[i](keys[i]) for i in range(count)]
-                chosen, predicted = select(pc, entries)
-                correct = [
-                    i for i in range(count)
-                    if entries[i] is not None and entries[i].target == target
-                ]
-                result.confuse(
-                    "none" if chosen is None else str(chosen),
-                    ",".join(str(i) for i in correct) if correct else "none",
-                )
-                site = result.site(pc)
-                site.executions += 1
-                site.targets.add(target)
-                if predicted != target:
-                    if correct:
-                        cause = "metapredictor"
-                    else:
-                        ref = chosen if chosen is not None else 0
-                        cause = monitors[ref].classify_miss(keys[ref], entries[ref])
-                    result.miss(pc, cause)
-                elif chosen is not None:
-                    monitors[chosen].note_hit(keys[chosen], entries[chosen])
-                # BPST training reads the pre-commit entries, exactly as
-                # the fast loop records before committing.
-                train(pc, entries, target)
-                for i in range(count):
-                    commits[i](keys[i], target)
-                    monitors[i].note_commit(keys[i])
-                    records[i](pc, target)
-                if (interval and (index + 1) % interval == 0
-                        and taken < self.occupancy_samples):
+            start = 0
+            for stop, sample in self._stretches(result.events):
+                stretch = [column[start:stop] for column in columns]
+                for pc, target, keys in zip(trace.pcs[start:stop],
+                                            trace.targets[start:stop],
+                                            zip(*stretch)):
+                    entries = [probes[i](keys[i]) for i in range(count)]
+                    chosen, predicted = select(pc, entries)
+                    correct = [
+                        i for i in range(count)
+                        if entries[i] is not None
+                        and entries[i].target == target
+                    ]
+                    result.confuse(
+                        "none" if chosen is None else str(chosen),
+                        ",".join(str(i) for i in correct) if correct else "none",
+                    )
+                    if predicted != target:
+                        if correct:
+                            cause = "metapredictor"
+                        else:
+                            ref = chosen if chosen is not None else 0
+                            cause = monitors[ref].classify_miss(
+                                keys[ref], entries[ref])
+                        missed.append((pc, cause))
+                    elif chosen is not None:
+                        monitors[chosen].note_hit(keys[chosen], entries[chosen])
+                    # BPST training reads the pre-commit entries, exactly as
+                    # the fast loop records before committing.
+                    train(pc, entries, target)
+                    for i in range(count):
+                        commits[i](keys[i], target)
+                        monitors[i].note_commit(keys[i])
+                if sample:
                     for monitor in monitors:
-                        monitor.sample(index + 1)
-                    taken += 1
+                        monitor.sample(stop)
+                start = stop
         finally:
             for monitor in monitors:
                 monitor.detach()
+        result.add_misses(missed)
         result.tables.extend(monitor.to_dict() for monitor in monitors)
 
     def _run_generic(
@@ -421,13 +415,12 @@ class InstrumentedRun:
     ) -> None:
         predict = predictor.predict
         update = predictor.update
+        missed: List[Tuple[int, str]] = []
         for pc, target in zip(trace.pcs, trace.targets):
-            site = result.site(pc)
-            site.executions += 1
-            site.targets.add(target)
             if predict(pc) != target:
-                result.miss(pc, "unknown")
+                missed.append((pc, "unknown"))
             update(pc, target)
+        result.add_misses(missed)
 
 
 def attribute(

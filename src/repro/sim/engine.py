@@ -8,8 +8,10 @@ misses are included (traces start with empty predictors).
 
 from __future__ import annotations
 
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from ..core.base import IndirectBranchPredictor, default_run_trace
 from ..errors import SimulationError
@@ -146,6 +148,77 @@ def sweep_kernel(
     return resolve_kernel(predictor, kernel=kernel, attribution=attribution)
 
 
+#: Bytes of key columns (and their final history rows) one
+#: :class:`KeyColumnMemo` holds at most.  1 MiB is 2**17 int64 keys:
+#: enough for one experiment's working set (fig16 reads 8 paths x 17
+#: benchmarks, about 71k keys at ``REPRO_TRACE_SCALE=0.01``).  At half
+#: this bound a full ``repro experiments`` run builds ~4x the columns.
+KEY_MEMO_BYTES = 1 << 20
+
+
+class KeyColumnMemo:
+    """LRU memo of first-level key columns, keyed by (trace, first level).
+
+    A two-level predictor's keys depend only on its first-level fields
+    (:attr:`~repro.core.config.TwoLevelConfig.first_level`), so every
+    table config sharing them reads one column.  Each entry holds the
+    ``array("q")`` column and the history rows the trace leaves behind;
+    a hit imports those rows, so the predictor ends exactly where a miss
+    leaves it.  Traces are named by benchmark: :meth:`drop` a name
+    whose trace changes.  Columns with a key at or above ``2**63`` do
+    not fit an int64 and are rebuilt per use, never held.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, Tuple[array, array]]" = OrderedDict()
+        #: bytes currently held, never above :data:`KEY_MEMO_BYTES`
+        self.held_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def column(self, predictor, trace: Trace) -> Sequence[int]:
+        """``predictor.keys_for(trace)`` for a freshly reset two-level predictor."""
+        key = (trace.name, predictor.config.first_level)
+        held = self._entries.get(key)
+        if held is not None:
+            self._entries.move_to_end(key)
+            column, rows = held
+            predictor.history.import_rows(rows)
+            return column
+        keys = predictor.keys_for(trace.pcs, trace.targets)
+        try:
+            column = array("q", keys)
+        except OverflowError:
+            return keys
+        held = (column, predictor.history.export_rows())
+        size = _held_bytes(held)
+        if size <= KEY_MEMO_BYTES:
+            while self.held_bytes + size > KEY_MEMO_BYTES:
+                self.held_bytes -= _held_bytes(self._entries.popitem(last=False)[1])
+            self._entries[key] = held
+            self.held_bytes += size
+        return keys
+
+    def drop(self, name: str) -> None:
+        """Forget every column built from the trace called ``name``."""
+        for key in [key for key in self._entries if key[0] == name]:
+            self.held_bytes -= _held_bytes(self._entries.pop(key))
+
+
+def _held_bytes(held: Tuple[array, array]) -> int:
+    return sum(len(column) * column.itemsize for column in held)
+
+
+def _run_memoised(predictor, trace: Trace, memo: KeyColumnMemo) -> int:
+    """``predictor.run_trace(trace)`` with its key columns read from ``memo``."""
+    components = getattr(predictor, "components", None)
+    if components is None:
+        return predictor.run_keys(memo.column(predictor, trace), trace.targets)
+    columns = [memo.column(component, trace) for component in components]
+    return predictor.run_keys(columns, trace.pcs, trace.targets)
+
+
 def simulate(
     predictor: IndirectBranchPredictor,
     trace: Trace,
@@ -154,6 +227,7 @@ def simulate(
     tracer: Optional[object] = None,
     attribution: Optional[object] = None,
     kernel: str = "event",
+    key_memo: Optional[KeyColumnMemo] = None,
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` and return the misprediction result.
 
@@ -185,6 +259,10 @@ def simulate(
             rebuilds predictor state from the config and leaves the
             ``predictor`` instance untouched; miss counts are bit-exact
             against the oracle.
+        key_memo: optional :class:`KeyColumnMemo` a two-level or hybrid
+            predictor reads its key columns from (building and holding
+            them on a miss).  Used only by a reset per-event run without
+            attribution; results and final state are the same either way.
     """
     if label is None:
         config = getattr(predictor, "config", None)
@@ -194,6 +272,8 @@ def simulate(
     )
     if reset:
         predictor.reset()
+    memoised = (key_memo is not None and reset and chosen == "event"
+                and attribution is None and hasattr(predictor, "keys_for"))
 
     # The one choke point every simulation crosses (serial runner,
     # parallel workers, direct calls): the chaos plan's "simulate"
@@ -214,6 +294,8 @@ def simulate(
             record = InstrumentedRun(predictor).run(trace, label=str(label))
             attribution.add(record)
             return record.mispredictions
+        if memoised:
+            return _run_memoised(predictor, trace, key_memo)
         run = getattr(predictor, "run_trace", None)
         if run is not None:
             return run(trace.pcs, trace.targets)

@@ -4,6 +4,11 @@ The :class:`SuiteRunner` caches generated traces (generation costs seconds
 per benchmark) and memoises simulation results per (config, benchmark), so
 parameter sweeps that revisit configurations — as the best-predictor
 searches of Figures 16/18 do — pay for each simulation once per process.
+Below the result memo, a bounded
+:class:`~repro.sim.engine.KeyColumnMemo` shares each first-level key
+column across every table config that reads it, so a grid over table
+sizes and associativities builds each (benchmark, key config) stream
+once.
 
 For crash safety the runner can additionally be given the durability layer
 from :mod:`repro.runtime`:
@@ -37,7 +42,7 @@ from ..core.factory import build_predictor
 from ..workloads.program import generate_trace
 from ..workloads.suite import AVG_BENCHMARKS, benchmark_names, workload_config
 from ..workloads.trace import Trace
-from .engine import SimulationResult, simulate, sweep_kernel
+from .engine import KeyColumnMemo, SimulationResult, simulate, sweep_kernel
 from .groups import groups_with_real, with_group_averages
 
 
@@ -138,6 +143,8 @@ class SuiteRunner:
         #: with default benchmarks include externals explicitly.
         self._external: Dict[str, object] = {}
         self._results: Dict[Tuple[PredictorConfig, str], SimulationResult] = {}
+        #: key columns shared by every table config that reads them
+        self._key_columns = KeyColumnMemo()
         self._simulate = simulate_fn if simulate_fn is not None else simulate
         self._generate = generate_fn if generate_fn is not None else generate_trace
         self.checkpoint = checkpoint
@@ -189,12 +196,13 @@ class SuiteRunner:
         the source digest — and batch lookups with default benchmarks
         include them, so they flow through sweeps, attribution, and
         manifests automatically.  Re-registering a name replaces the
-        source (and drops any stale memoised trace).
+        source (and drops any stale memoised trace and key columns).
         """
         name = source.name
         previous = self._external.get(name)
         if previous is not None and previous.digest != source.digest:
             self._traces.pop(name, None)
+            self._key_columns.drop(name)
         self._external[name] = source
         return name
 
@@ -292,7 +300,8 @@ class SuiteRunner:
             kernel, fallback = sweep_kernel(
                 predictor, len(trace), self.kernel, collector)
             result = simulate(predictor, trace, tracer=self.tracer,
-                              attribution=collector, kernel=kernel)
+                              attribution=collector, kernel=kernel,
+                              key_memo=self._key_columns)
         else:  # a fault-injection override
             kernel = fallback = None
             with self.tracer.span("simulate", benchmark=benchmark,

@@ -71,11 +71,24 @@ class TestCommands:
         assert main(["trace", "xlisp", str(path), "--scale", "0.01"]) == 0
         assert len(load_trace_text(path)) > 0
 
-    def test_bad_spec_raises_config_error(self):
-        from repro.errors import ConfigError
+    def test_bad_spec_raises_config_error(self, capsys):
+        # A ConfigError is a usage error: exit 2, one ``error:`` line.
+        assert main(["simulate", "nonsense:spec"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
-        with pytest.raises(ConfigError):
-            main(["simulate", "nonsense:spec"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "twolevel:p=zz"],
+        ["simulate", "hybrid:p1=3,p2=none"],
+        ["simulate", "btb:entries=big"],
+        ["simulate", "btb", "perlx"],
+    ])
+    def test_config_errors_are_one_line_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
     def test_trace_creates_parent_directories(self, tmp_path, capsys):
         path = tmp_path / "deep" / "nested" / "t.bin"

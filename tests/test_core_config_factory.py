@@ -142,6 +142,11 @@ class TestSpecParsing:
             "twolevel:p=3,flavour=mild",    # unknown field
             "hybrid:p1=3",                  # missing second path
             "btb:entries",                  # malformed field
+            "twolevel:p=zz",                # non-integer numeric fields
+            "twolevel:p=3,s=none",
+            "twolevel:p=3,budget=big",
+            "hybrid:p1=3,p2=x",
+            "btb:entries=many",
         ):
             with pytest.raises(ConfigError):
                 config_from_spec(spec)
