@@ -42,16 +42,7 @@ class BranchTargetBuffer:
         self._table.commit(pc >> 2, target)
 
     def run_trace(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
-        misses = 0
-        probe = self._table.probe
-        commit = self._table.commit
-        for pc, target in zip(pcs, targets):
-            key = pc >> 2
-            entry = probe(key)
-            if entry is None or entry.target != target:
-                misses += 1
-            commit(key, target)
-        return misses
+        return self._table.run([pc >> 2 for pc in pcs], targets)
 
     def reset(self) -> None:
         # The attribution engine attaches an observer to the live table;

@@ -127,21 +127,19 @@ class HybridPredictor:
     def _run_keys_confidence(
         self, columns: Sequence[Sequence[int]], targets: Sequence[int]
     ) -> int:
+        # Arbitrate on each table's commit code (see repro.core.tables):
+        # ``code >> 1`` is confidence + 1 (0 without an entry), so the
+        # first strictly highest rank is the winner, and ``& 1`` its hit.
         misses = 0
-        probes = [component.table.probe for component in self.components]
         commits = [component.table.commit for component in self.components]
         for target, keys in zip(targets, zip(*columns)):
-            predicted: Optional[int] = None
-            best_confidence = -1
-            for probe, key in zip(probes, keys):
-                entry = probe(key)
-                if entry is not None and entry.confidence > best_confidence:
-                    predicted = entry.target
-                    best_confidence = entry.confidence
-            if predicted != target:
-                misses += 1
+            best = 0
             for commit, key in zip(commits, keys):
-                commit(key, target)
+                code = commit(key, target)
+                if code >> 1 > best >> 1:
+                    best = code
+            if not best & 1:
+                misses += 1
         return misses
 
     def _run_keys_bpst(
@@ -154,26 +152,19 @@ class HybridPredictor:
         bpst = self._bpst
         assert bpst is not None
         select, record = bpst.select, bpst.record
-        first, second = (component.table for component in self.components)
-        probe0, commit0 = first.probe, first.commit
-        probe1, commit1 = second.probe, second.commit
+        commit0, commit1 = (component.table.commit for component in self.components)
+        # Commit codes (see repro.core.tables): 0 without an entry, odd
+        # when the entry held the target.
         for pc, key0, key1, target in zip(pcs, columns[0], columns[1], targets):
-            entry0 = probe0(key0)
-            entry1 = probe1(key1)
+            code0 = commit0(key0, target)
+            code1 = commit1(key1, target)
             if select(pc) == 0:
-                entry = entry0 if entry0 is not None else entry1
+                code = code0 or code1
             else:
-                entry = entry1 if entry1 is not None else entry0
-            predicted = entry.target if entry is not None else None
-            if predicted != target:
+                code = code1 or code0
+            if not code & 1:
                 misses += 1
-            record(
-                pc,
-                entry0 is not None and entry0.target == target,
-                entry1 is not None and entry1.target == target,
-            )
-            commit0(key0, target)
-            commit1(key1, target)
+            record(pc, code0 & 1, code1 & 1)
         return misses
 
     # -- state columns ------------------------------------------------------

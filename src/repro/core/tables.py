@@ -23,7 +23,18 @@ All tables implement:
     Post-resolution update: applies the update rule (immediate or 2bc
     hysteresis) to a hit, allocates/replaces on a miss, and maintains the
     entry's confidence counter (incremented when the stored target matched,
-    decremented otherwise, reset to zero on replacement).
+    decremented otherwise, reset to zero on replacement).  Returns what a
+    ``probe`` just before it would have seen, packed in one int: ``0``
+    when there was no entry, otherwise ``2 * (confidence + 1) + hit``
+    with the confidence read before the update and ``hit`` 1 when the
+    stored target equalled ``actual_target``.  So ``code & 1`` is a
+    correct prediction and ``code >> 1`` ranks entries for confidence
+    arbitration (0 ranks below every present entry).
+``run(keys, targets)``
+    ``commit`` over a whole key column in one loop, returning the number
+    of mispredictions (codes without the hit bit).  The table ends
+    exactly as the ``commit`` loop leaves it, but ``run`` calls no
+    ``observer`` hook: instrumented runs commit one key at a time.
 
 Tables additionally expose a narrow observation hook for the misprediction
 attribution engine (:mod:`repro.sim.attribution`): setting ``observer`` to
@@ -50,7 +61,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, StateError
 from .columns import rows_of, to_column
@@ -115,7 +126,10 @@ class BasePredictionTable:
     def probe(self, key: int) -> Optional[Entry]:
         raise NotImplementedError
 
-    def commit(self, key: int, actual_target: int) -> None:
+    def commit(self, key: int, actual_target: int) -> int:
+        raise NotImplementedError
+
+    def run(self, keys: Sequence[int], targets: Sequence[int]) -> int:
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -169,26 +183,26 @@ class BasePredictionTable:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _apply_update(self, entry: Entry, actual_target: int) -> bool:
+    def _apply_update(self, entry: Entry, actual_target: int) -> int:
         """Update a resident entry after the branch resolves.
 
-        Returns ``True`` when the entry now stores ``actual_target`` (it
-        already matched, or the update rule replaced it) — the signal the
-        tagless ``wrote`` hook needs to track slot ownership.
+        Returns ``commit``'s code for the entry (see the module
+        docstring).  The ``run`` loops inline this rule.
         """
+        confidence = entry.confidence
         if entry.target == actual_target:
             entry.miss_bit = 0
-            if entry.confidence < self.confidence_max:
-                entry.confidence += 1
-            return True
-        if entry.confidence > 0:
-            entry.confidence -= 1
+            if confidence < self.confidence_max:
+                entry.confidence = confidence + 1
+            return 2 * confidence + 3
+        if confidence:
+            entry.confidence = confidence - 1
         if self.update_rule == "always" or entry.miss_bit:
             entry.target = actual_target
             entry.miss_bit = 0
-            return True
-        entry.miss_bit = 1
-        return False
+        else:
+            entry.miss_bit = 1
+        return 2 * confidence + 2
 
 
 class UnconstrainedTable(BasePredictionTable):
@@ -209,12 +223,39 @@ class UnconstrainedTable(BasePredictionTable):
     def probe(self, key: int) -> Optional[Entry]:
         return self._entries.get(key)
 
-    def commit(self, key: int, actual_target: int) -> None:
+    def commit(self, key: int, actual_target: int) -> int:
         entry = self._entries.get(key)
         if entry is None:
             self._entries[key] = Entry(actual_target)
-        else:
-            self._apply_update(entry, actual_target)
+            return 0
+        return self._apply_update(entry, actual_target)
+
+    def run(self, keys: Sequence[int], targets: Sequence[int]) -> int:
+        entries = self._entries
+        get = entries.get
+        maximum = self.confidence_max
+        always = self.update_rule == "always"
+        misses = 0
+        for key, target in zip(keys, targets):
+            entry = get(key)
+            if entry is None:
+                entries[key] = Entry(target)
+                misses += 1
+                continue
+            if entry.target == target:
+                entry.miss_bit = 0
+                if entry.confidence < maximum:
+                    entry.confidence += 1
+                continue
+            if entry.confidence:
+                entry.confidence -= 1
+            if always or entry.miss_bit:
+                entry.target = target
+                entry.miss_bit = 0
+            else:
+                entry.miss_bit = 1
+            misses += 1
+        return misses
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -248,18 +289,59 @@ class FullyAssociativeTable(BasePredictionTable):
     def probe(self, key: int) -> Optional[Entry]:
         return self._entries.get(key)
 
-    def commit(self, key: int, actual_target: int) -> None:
+    def commit(self, key: int, actual_target: int) -> int:
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:
             entries.move_to_end(key)
-            self._apply_update(entry, actual_target)
-            return
-        if len(entries) >= self.num_entries:
-            evicted_key, _ = entries.popitem(last=False)
-            if self.observer is not None:
-                self.observer.evicted(evicted_key, "capacity")
-        entries[key] = Entry(actual_target)
+            return self._apply_update(entry, actual_target)
+        if len(entries) < self.num_entries:
+            entries[key] = Entry(actual_target)
+            return 0
+        evicted_key, entry = entries.popitem(last=False)
+        if self.observer is not None:
+            self.observer.evicted(evicted_key, "capacity")
+        entry.target = actual_target
+        entry.miss_bit = entry.confidence = 0
+        entries[key] = entry
+        return 0
+
+    def run(self, keys: Sequence[int], targets: Sequence[int]) -> int:
+        entries = self._entries
+        get, move_to_end, popitem = entries.get, entries.move_to_end, entries.popitem
+        free = self.num_entries - len(entries)
+        maximum = self.confidence_max
+        always = self.update_rule == "always"
+        misses = 0
+        for key, target in zip(keys, targets):
+            entry = get(key)
+            if entry is None:
+                if free:
+                    entries[key] = Entry(target)
+                    free -= 1
+                else:
+                    # Replace the LRU entry, reusing its entry object.
+                    entry = popitem(False)[1]
+                    entry.target = target
+                    entry.miss_bit = entry.confidence = 0
+                    entries[key] = entry
+                misses += 1
+                continue
+            move_to_end(key)
+            if entry.target == target:
+                entry.miss_bit = 0
+                if entry.confidence < maximum:
+                    entry.confidence += 1
+                continue
+            if entry.confidence:
+                entry.confidence -= 1
+            if always or entry.miss_bit:
+                entry.target = target
+                entry.miss_bit = 0
+            else:
+                entry.miss_bit = 1
+            misses += 1
+        return misses
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -320,32 +402,78 @@ class SetAssociativeTable(BasePredictionTable):
         ways = self._sets[key & self._index_mask]
         return None if ways is None else ways.get(key >> self.index_bits)
 
-    def commit(self, key: int, actual_target: int) -> None:
+    def commit(self, key: int, actual_target: int) -> int:
         tag = key >> self.index_bits
         index = key & self._index_mask
         ways = self._sets[index]
         if ways is None:
             self._sets[index] = {tag: Entry(actual_target)}
             self._size += 1
-            return
-        entry = ways.get(tag)
+            return 0
+        entry = ways.pop(tag, None)
         if entry is not None:
             # Refresh recency by reinserting at the back of the dict.
-            del ways[tag]
             ways[tag] = entry
-            self._apply_update(entry, actual_target)
-            return
-        if len(ways) >= self.associativity:
-            victim_tag = next(iter(ways))
-            del ways[victim_tag]
-            if self.observer is not None:
-                self.observer.evicted(
-                    (victim_tag << self.index_bits) | (key & self._index_mask),
-                    "conflict",
-                )
-        else:
+            return self._apply_update(entry, actual_target)
+        if len(ways) < self.associativity:
+            ways[tag] = Entry(actual_target)
             self._size += 1
-        ways[tag] = Entry(actual_target)
+            return 0
+        victim_tag = next(iter(ways))
+        entry = ways.pop(victim_tag)
+        if self.observer is not None:
+            self.observer.evicted((victim_tag << self.index_bits) | index,
+                                  "conflict")
+        entry.target = actual_target
+        entry.miss_bit = entry.confidence = 0
+        ways[tag] = entry
+        return 0
+
+    def run(self, keys: Sequence[int], targets: Sequence[int]) -> int:
+        sets = self._sets
+        index_bits, index_mask = self.index_bits, self._index_mask
+        associativity = self.associativity
+        maximum = self.confidence_max
+        always = self.update_rule == "always"
+        size = self._size
+        misses = 0
+        for key, target in zip(keys, targets):
+            tag = key >> index_bits
+            ways = sets[key & index_mask]
+            if ways is None:
+                sets[key & index_mask] = {tag: Entry(target)}
+                size += 1
+                misses += 1
+                continue
+            entry = ways.pop(tag, None)
+            if entry is None:
+                if len(ways) < associativity:
+                    ways[tag] = Entry(target)
+                    size += 1
+                else:
+                    # Replace the LRU way, reusing its entry object.
+                    entry = ways.pop(next(iter(ways)))
+                    entry.target = target
+                    entry.miss_bit = entry.confidence = 0
+                    ways[tag] = entry
+                misses += 1
+                continue
+            ways[tag] = entry  # back of the dict: most recently used
+            if entry.target == target:
+                entry.miss_bit = 0
+                if entry.confidence < maximum:
+                    entry.confidence += 1
+                continue
+            if entry.confidence:
+                entry.confidence -= 1
+            if always or entry.miss_bit:
+                entry.target = target
+                entry.miss_bit = 0
+            else:
+                entry.miss_bit = 1
+            misses += 1
+        self._size = size
+        return misses
 
     def __len__(self) -> int:
         return self._size
@@ -410,16 +538,46 @@ class TaglessTable(BasePredictionTable):
     def probe(self, key: int) -> Optional[Entry]:
         return self._entries[key & self._index_mask]
 
-    def commit(self, key: int, actual_target: int) -> None:
+    def commit(self, key: int, actual_target: int) -> int:
         index = key & self._index_mask
         entry = self._entries[index]
         if entry is None:
             self._entries[index] = Entry(actual_target)
             if self.observer is not None:
                 self.observer.wrote(index, key)
-        elif self._apply_update(entry, actual_target):
-            if self.observer is not None:
-                self.observer.wrote(index, key)
+            return 0
+        code = self._apply_update(entry, actual_target)
+        # The slot now stores the target: it matched, or was replaced.
+        if self.observer is not None and entry.target == actual_target:
+            self.observer.wrote(index, key)
+        return code
+
+    def run(self, keys: Sequence[int], targets: Sequence[int]) -> int:
+        slots = self._entries
+        index_mask = self._index_mask
+        maximum = self.confidence_max
+        always = self.update_rule == "always"
+        misses = 0
+        for key, target in zip(keys, targets):
+            entry = slots[key & index_mask]
+            if entry is None:
+                slots[key & index_mask] = Entry(target)
+                misses += 1
+                continue
+            if entry.target == target:
+                entry.miss_bit = 0
+                if entry.confidence < maximum:
+                    entry.confidence += 1
+                continue
+            if entry.confidence:
+                entry.confidence -= 1
+            if always or entry.miss_bit:
+                entry.target = target
+                entry.miss_bit = 0
+            else:
+                entry.miss_bit = 1
+            misses += 1
+        return misses
 
     def __len__(self) -> int:
         return self.num_entries - self._entries.count(None)

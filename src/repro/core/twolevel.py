@@ -32,11 +32,7 @@ class TwoLevelPredictor:
     """A configurable two-level predictor for indirect branches."""
 
     def __init__(self, config: Optional[TwoLevelConfig] = None) -> None:
-        self.config = config or TwoLevelConfig()
-        self._build()
-
-    def _build(self) -> None:
-        config = self.config
+        self.config = config = config or TwoLevelConfig()
         bits = config.bits_per_target
         self.history = HistoryRegisterFile(
             path_length=config.path_length,
@@ -52,12 +48,12 @@ class TwoLevelPredictor:
             table_sharing=config.table_sharing,
             interleave=config.interleave,
         )
-        self.table: BasePredictionTable = make_table(
-            config.num_entries,
-            config.associativity,
-            config.update_rule,
-            config.confidence_bits,
-        )
+        self.table: BasePredictionTable = self._empty_table()
+
+    def _empty_table(self) -> BasePredictionTable:
+        config = self.config
+        return make_table(config.num_entries, config.associativity,
+                          config.update_rule, config.confidence_bits)
 
     # -- single-branch interface -----------------------------------------
 
@@ -90,15 +86,7 @@ class TwoLevelPredictor:
 
     def run_keys(self, keys: Sequence[int], targets: Sequence[int]) -> int:
         """Second level over a key column; return the misprediction count."""
-        misses = 0
-        probe = self.table.probe
-        commit = self.table.commit
-        for key, target in zip(keys, targets):
-            entry = probe(key)
-            if entry is None or entry.target != target:
-                misses += 1
-            commit(key, target)
-        return misses
+        return self.table.run(keys, targets)
 
     def run_trace(self, pcs: Sequence[int], targets: Sequence[int]) -> int:
         """Simulate the whole trace; return the misprediction count.
@@ -134,11 +122,13 @@ class TwoLevelPredictor:
         self.table, self.history = fresh.table, fresh.history
 
     def reset(self) -> None:
-        # Preserve any attribution observer across the rebuild — the
-        # instrumented run attaches to ``self.table`` and must keep
+        # Only the history and the table hold state; the key builder is
+        # kept.  Preserve any attribution observer across the new table —
+        # the instrumented run attaches to ``self.table`` and must keep
         # receiving eviction/write callbacks after a reset.
         observer = self.table.observer
-        self._build()
+        self.history.reset()
+        self.table = self._empty_table()
         self.table.observer = observer
         if observer is not None and hasattr(observer, "table"):
             observer.table = self.table

@@ -35,7 +35,8 @@ each predictor's ``run_trace`` fast path operation-for-operation (the
 same ``keys_for`` key columns, arbitration tie-breaks and commit order),
 so the attributed miss total equals the fast path's count exactly; the fast
 paths themselves are untouched when attribution is off (the only hook is
-the tables' ``observer``, checked on commit's write branches only).
+the tables' ``observer``, checked on commit's write branches only and
+never by the tables' ``run`` loops).
 
 Results serialize as ``repro-attribution/1`` JSONL artifacts through the
 same machinery as ``--trace-log`` (header line + one record per
@@ -145,18 +146,18 @@ class _TableMonitor:
 
     # -- classification ----------------------------------------------------
 
-    def classify_miss(self, key: int, entry: Optional[object]) -> str:
-        """Cause of a miss observed at probe time, before the commit."""
-        if entry is None:
-            return self.evictions.get(key, "cold")
-        if self.is_tagless and self.owners.get(key & self.index_mask) != key:
-            return "conflict"
-        return "training"
+    def aliased(self, key: int) -> bool:
+        """Whether ``key``'s tagless slot was last written by another key.
 
-    def note_hit(self, key: int, entry: object) -> None:
-        """A correct prediction — count tagless positive interference."""
-        if self.is_tagless and self.owners.get(key & self.index_mask) != key:
-            self.positive_interference += 1
+        Read before the commit: the commit's ``wrote`` moves the owner.
+        """
+        return self.is_tagless and self.owners.get(key & self.index_mask) != key
+
+    def classify_miss(self, key: int, present: bool, aliased: bool) -> str:
+        """Cause of a miss, given what the lookup saw before the commit."""
+        if not present:
+            return self.evictions.get(key, "cold")
+        return "conflict" if aliased else "training"
 
     def note_commit(self, key: int) -> None:
         """The key was just committed; any old eviction record is stale."""
@@ -325,25 +326,30 @@ class InstrumentedRun:
         trace: Trace,
         result: AttributionResult,
     ) -> None:
-        """The loop of a one-table predictor (BTB or two-level) over its keys."""
+        """The loop of a one-table predictor (BTB or two-level) over its keys.
+
+        Each branch is classified from its commit code (see
+        :mod:`repro.core.tables`); a commit never evicts its own key, so
+        the eviction record read after it is the one before it.
+        """
         monitor = _TableMonitor(table)
         missed: List[Tuple[int, str]] = []
         try:
-            probe, commit = table.probe, table.commit
+            commit = table.commit
             classify_miss = monitor.classify_miss
-            note_hit = monitor.note_hit if monitor.is_tagless else None
+            aliased = monitor.aliased if monitor.is_tagless else None
             evictions = monitor.evictions
             pcs, targets = trace.pcs, trace.targets
             start = 0
             for stop, sample in self._stretches(result.events):
                 for pc, key, target in zip(pcs[start:stop], keys[start:stop],
                                            targets[start:stop]):
-                    entry = probe(key)
-                    if entry is None or entry.target != target:
-                        missed.append((pc, classify_miss(key, entry)))
-                    elif note_hit is not None:
-                        note_hit(key, entry)
-                    commit(key, target)
+                    alien = aliased is not None and aliased(key)
+                    code = commit(key, target)
+                    if not code & 1:
+                        missed.append((pc, classify_miss(key, code != 0, alien)))
+                    elif alien:
+                        monitor.positive_interference += 1
                     if evictions:  # monitor.note_commit, inlined
                         evictions.pop(key, None)
                 if sample:
@@ -389,13 +395,17 @@ class InstrumentedRun:
                             cause = "metapredictor"
                         else:
                             ref = chosen if chosen is not None else 0
-                            cause = monitors[ref].classify_miss(
-                                keys[ref], entries[ref])
+                            monitor = monitors[ref]
+                            cause = monitor.classify_miss(
+                                keys[ref], entries[ref] is not None,
+                                monitor.aliased(keys[ref]))
                         missed.append((pc, cause))
                     elif chosen is not None:
-                        monitors[chosen].note_hit(keys[chosen], entries[chosen])
-                    # BPST training reads the pre-commit entries, exactly as
-                    # the fast loop records before committing.
+                        monitor = monitors[chosen]
+                        if monitor.aliased(keys[chosen]):
+                            monitor.positive_interference += 1
+                    # BPST training reads the pre-commit entries, as the
+                    # fast loop reads them from the commit codes.
                     train(pc, entries, target)
                     for i in range(count):
                         commits[i](keys[i], target)

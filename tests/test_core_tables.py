@@ -1,8 +1,11 @@
 """Unit tests for repro.core.tables — all four table organisations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tables import (
+    UPDATE_RULES,
     Entry,
     FullyAssociativeTable,
     SetAssociativeTable,
@@ -220,3 +223,122 @@ class TestMakeTable:
 
 def test_entry_repr_mentions_target():
     assert "0x40" in repr(Entry(0x40))
+
+
+#: Every organisation, small enough that a stream of 16 keys evicts.
+ORGANISATIONS = {
+    "unconstrained": lambda rule, bits: UnconstrainedTable(rule, bits),
+    "full": lambda rule, bits: FullyAssociativeTable(4, rule, bits),
+    "1-way": lambda rule, bits: SetAssociativeTable(8, 1, rule, bits),
+    "2-way": lambda rule, bits: SetAssociativeTable(8, 2, rule, bits),
+    "4-way": lambda rule, bits: SetAssociativeTable(8, 4, rule, bits),
+    "tagless": lambda rule, bits: TaglessTable(4, rule, bits),
+}
+
+streams = st.lists(
+    st.tuples(st.integers(0, 15), st.sampled_from((0xA0, 0xB0, 0xC0))),
+    max_size=150,
+)
+
+
+def every_table(test):
+    """Parametrise ``test`` over organisation, update rule and width."""
+    for name, values in (("organisation", sorted(ORGANISATIONS)),
+                         ("rule", UPDATE_RULES), ("bits", (1, 2, 3))):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def probe_code(table, key, target):
+    """``commit``'s documented code, read from a probe."""
+    entry = table.probe(key)
+    if entry is None:
+        return 0
+    return 2 * (entry.confidence + 1) + (entry.target == target)
+
+
+def stored_keys(table):
+    return set(table.export_rows()[::4])
+
+
+class Recorder:
+    def __init__(self):
+        self.calls = []
+
+    def evicted(self, key, cause):
+        self.calls.append(("evicted", key, cause))
+
+    def wrote(self, index, key):
+        self.calls.append(("wrote", index, key))
+
+
+def expected_calls(table, before, key, target):
+    """The observer calls a commit makes, read off the table's state change.
+
+    Replacement evicts exactly the keys that left the table; a tagless
+    slot is written when it ends up holding the branch's target.
+    """
+    if isinstance(table, TaglessTable):
+        index = key & (table.num_entries - 1)
+        return ([("wrote", index, key)]
+                if table.probe(key).target == target else [])
+    cause = "conflict" if isinstance(table, SetAssociativeTable) else "capacity"
+    return [("evicted", gone, cause)
+            for gone in sorted(before - stored_keys(table))]
+
+
+class TestCommitCodesAndRun:
+    """``commit``'s code and ``run`` against ``probe`` and the commit loop.
+
+    Hypothesis key/target streams over every organisation, update rule
+    and confidence width; 16 keys over 4-8 entries keep evicting.
+    """
+
+    @every_table
+    @settings(max_examples=25, deadline=None)
+    @given(events=streams)
+    def test_commit_returns_the_probe_code(self, organisation, rule, bits,
+                                           events):
+        table = ORGANISATIONS[organisation](rule, bits)
+        for key, target in events:
+            expected = probe_code(table, key, target)
+            assert table.commit(key, target) == expected
+
+    @every_table
+    @settings(max_examples=25, deadline=None)
+    @given(events=streams, split=st.integers(0, 150))
+    def test_run_is_the_commit_loop(self, organisation, rule, bits, events,
+                                    split):
+        table, looped = (ORGANISATIONS[organisation](rule, bits)
+                         for _ in range(2))
+        # Both take the same prefix one commit at a time, so ``run``
+        # also starts from a partly filled table.
+        for key, target in events[:split]:
+            table.commit(key, target)
+            looped.commit(key, target)
+        rest = events[split:]
+        misses = sum(not looped.commit(key, target) & 1 for key, target in rest)
+        assert table.run([key for key, _ in rest],
+                         [target for _, target in rest]) == misses
+        assert table.export_rows() == looped.export_rows()
+        assert len(table) == len(looped) == len(table.export_rows()) // 4
+
+    @every_table
+    @settings(max_examples=25, deadline=None)
+    @given(events=streams)
+    def test_observer_sees_every_replacement(self, organisation, rule, bits,
+                                             events):
+        table = ORGANISATIONS[organisation](rule, bits)
+        table.observer = recorder = Recorder()
+        for key, target in events:
+            before = stored_keys(table)
+            recorder.calls.clear()
+            table.commit(key, target)
+            assert recorder.calls == expected_calls(table, before, key, target)
+
+    def test_codes_rank_confidence_and_flag_hits(self):
+        table = UnconstrainedTable()
+        assert table.commit(1, 0xA) == 0           # no entry
+        assert table.commit(1, 0xA) == 2 * 1 + 1  # confidence 0, hit
+        assert table.commit(1, 0xB) == 2 * 2 + 0  # confidence 1, miss
+        assert table.commit(1, 0xA) == 2 * 1 + 1  # confidence 0 again

@@ -1,6 +1,7 @@
 """Oracle-equivalence harness for the vectorized batch kernel.
 
-The per-event engine (:mod:`repro.core`) is the oracle: its semantics
+The per-event reference loop (:func:`repro.core.base.default_run_trace`:
+``predict`` then ``update`` per branch) is the oracle: its semantics
 were validated statement-by-statement against the paper.  The batch
 kernel (:mod:`repro.sim.kernel`) must reproduce its misprediction count
 *bit-exactly* for every supported configuration — same misses, same
@@ -18,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.base import default_run_trace
 from repro.core.config import BTBConfig, HybridConfig, TwoLevelConfig
 from repro.core.factory import build_predictor, config_from_spec
 from repro.errors import SimulationError, TraceError
@@ -54,7 +56,8 @@ def columns(trace):
 
 
 def oracle_misses(config, trace):
-    return build_predictor(config).run_trace(trace.pcs, trace.targets)
+    """The reference: per-branch ``predict``/``update``, no fast path."""
+    return default_run_trace(build_predictor(config), trace.pcs, trace.targets)
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,9 @@ from .test_ingest import write_sample
 
 #: Every two-level and hybrid family spec, plus first-level variants the
 #: family list does not reach: per-address and shared history, fold and
-#: shift-xor compression, concatenated keys, ping-pong interleave.
+#: shift-xor compression, concatenated keys, ping-pong interleave; and
+#: hybrids arbitrating on commit codes: three components, 1- and 3-bit
+#: confidence, BPST over every organisation.
 KEYED_SPECS = tuple(
     spec for spec in FAMILY_SPECS if not spec.startswith("btb")
 ) + (
@@ -38,6 +40,13 @@ KEYED_SPECS = tuple(
     "twolevel:p=2,address=concat,interleave=straight,entries=64,assoc=4",
     "twolevel:p=0,entries=16,assoc=full",
     "hybrid:p1=4,p2=1,s=4,entries=64,assoc=2,update=always",
+    "hybrid:p1=4,p2=2,p3=0,entries=16,assoc=2,confidence=1",
+    "hybrid:p1=3,p2=1,p3=6,entries=8,assoc=full,confidence=3,update=always",
+    "hybrid:p1=2,p2=1,p3=4,entries=8,assoc=tagless,confidence=3",
+    "hybrid:p1=2,p2=0,meta=bpst,confidence=1",
+    "hybrid:p1=3,p2=1,entries=8,assoc=full,meta=bpst,update=always",
+    "hybrid:p1=4,p2=1,entries=16,assoc=1,meta=bpst,confidence=3",
+    "hybrid:p1=2,p2=1,entries=8,assoc=tagless,meta=bpst",
 )
 
 PCS = (0x1000, 0x1044, 0x2080, 0x30C0, 0x4104)
